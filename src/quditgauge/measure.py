@@ -456,9 +456,10 @@ def make_estimator(est_cfg, ctx):
         counter["step"] += 1
         return int(np.random.SeedSequence([est_cfg.seed, counter["step"]]).generate_state(1)[0])
 
-    def _pack(m, v):
-        w = np.linalg.eigvalsh(m)
-        return EomQuantities(m, v, float(w[0]), float(w[-1]))
+    def _pack(theta, m, v):
+        psi = circuit.state(theta, psi0)
+        amp = psi.amplitudes
+        return EomQuantities(m, v, psi, float(np.vdot(amp, ctx.ham @ amp).real))
 
     if est_cfg.mode == "shift":
         def est(theta, kind):
@@ -472,7 +473,7 @@ def make_estimator(est_cfg, ctx):
                     for mu in range(circuit.num_params)
                 ]
             )
-            return _pack(m, v)
+            return _pack(theta, m, v)
 
         return est
 
@@ -497,7 +498,7 @@ def make_estimator(est_cfg, ctx):
                     for mu in range(npar)
                 ]
             )
-            return _pack(m, v)
+            return _pack(theta, m, v)
 
         return est
 
@@ -523,7 +524,7 @@ def make_estimator(est_cfg, ctx):
                     for mu in range(npar)
                 ]
             )
-            return _pack(m, v)
+            return _pack(theta, m, v)
 
         return est
 

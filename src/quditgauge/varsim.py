@@ -24,12 +24,12 @@ from .model import HamiltonianSpec, materialize
 
 @dataclass(frozen=True)
 class EomQuantities:
-    """Metric, flow vector, and spectral diagnostics of the metric."""
+    """Metric and flow vector at theta, with the state and its energy <psi|H|psi>."""
 
     m: np.ndarray
     v: np.ndarray
-    eig_min: float
-    eig_max: float
+    psi: QuditRegister
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -53,55 +53,46 @@ class TrajectoryRecord:
     m_cond: float
 
 
-def _tangent_overlaps(circuit: Circuit, theta, psi0: QuditRegister):
+def exact_eom(circuit: Circuit, theta, ham: np.ndarray | None, psi0: QuditRegister, kind: str) -> EomQuantities:
+    """Metric and flow vector of ``kind`` from one tangent sweep.
+
+    The metric is the real part of the quantum geometric tensor.  The flow
+    vector is dE/dtheta = 2 Re <d_mu psi|H|psi> for ``kind='imag'`` and, for
+    ``kind='real'``, 2 Im <d_mu psi|H|psi> plus the global-phase correction.
+    ``ham=None`` stands for H = 0, which leaves the metric alone.
+    """
+    if kind not in ("imag", "real"):
+        raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
     psi, tang = circuit.tangents(theta, psi0)
-    ip = tang.conj().T @ psi.amplitudes  # <d_mu psi | psi>
-    return psi, tang, ip
+    amp = psi.amplitudes
+    if ham is not None and ham.shape[0] != psi.dim:
+        raise ValueError("Hamiltonian dimension does not match the register")
+    ip = tang.conj().T @ amp  # <d_mu psi | psi>
+    gram = tang.conj().T @ tang
+    m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
+    m = (m + m.T) / 2.0
+    hpsi = np.zeros_like(amp) if ham is None else ham @ amp
+    energy = float(np.vdot(amp, hpsi).real)
+    if kind == "imag":
+        v = 2.0 * (tang.conj().T @ hpsi).real
+    else:
+        v = 2.0 * (tang.conj().T @ hpsi).imag + 2.0 * energy * np.conj(ip).imag
+    return EomQuantities(m, v, psi, energy)
 
 
 def metric_tensor(circuit: Circuit, theta, psi0: QuditRegister) -> np.ndarray:
     """Real part of the quantum geometric tensor on the variational manifold."""
-    _, tang, ip = _tangent_overlaps(circuit, theta, psi0)
-    gram = tang.conj().T @ tang
-    m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
-    return (m + m.T) / 2.0
+    return exact_eom(circuit, theta, None, psi0, "imag").m
 
 
 def energy_gradient(circuit: Circuit, theta, ham: np.ndarray, psi0: QuditRegister) -> np.ndarray:
     """dE/dtheta = 2 Re <d_mu psi | H | psi>."""
-    psi, tang, _ = _tangent_overlaps(circuit, theta, psi0)
-    if ham.shape[0] != psi.dim:
-        raise ValueError("Hamiltonian dimension does not match the register")
-    hpsi = ham @ psi.amplitudes
-    return 2.0 * (tang.conj().T @ hpsi).real
+    return exact_eom(circuit, theta, ham, psi0, "imag").v
 
 
 def real_time_vector(circuit: Circuit, theta, ham: np.ndarray, psi0: QuditRegister) -> np.ndarray:
     """Flow vector for real-time evolution, including the global-phase correction."""
-    psi, tang, ip = _tangent_overlaps(circuit, theta, psi0)
-    if ham.shape[0] != psi.dim:
-        raise ValueError("Hamiltonian dimension does not match the register")
-    hpsi = ham @ psi.amplitudes
-    energy = float(np.vdot(psi.amplitudes, hpsi).real)
-    return 2.0 * (tang.conj().T @ hpsi).imag + 2.0 * energy * np.conj(ip).imag
-
-
-def exact_eom(circuit: Circuit, theta, ham: np.ndarray, psi0: QuditRegister, kind: str) -> EomQuantities:
-    """Exact-path metric and flow vector with spectral diagnostics."""
-    psi, tang, ip = _tangent_overlaps(circuit, theta, psi0)
-    gram = tang.conj().T @ tang
-    m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
-    m = (m + m.T) / 2.0
-    hpsi = ham @ psi.amplitudes
-    if kind == "imag":
-        v = 2.0 * (tang.conj().T @ hpsi).real
-    elif kind == "real":
-        energy = float(np.vdot(psi.amplitudes, hpsi).real)
-        v = 2.0 * (tang.conj().T @ hpsi).imag + 2.0 * energy * np.conj(ip).imag
-    else:
-        raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
-    w = np.linalg.eigvalsh(m)
-    return EomQuantities(m, v, float(w[0]), float(w[-1]))
+    return exact_eom(circuit, theta, ham, psi0, "real").v
 
 
 def solve_flow(
@@ -243,19 +234,25 @@ def snapshot(
     theta: np.ndarray,
     step: int,
     time: float,
-    reference: np.ndarray,
+    reference: np.ndarray | None,
     eom: EomQuantities,
     cond: float,
 ) -> TrajectoryRecord:
-    psi = ctx.circuit.state(theta, ctx.psi0)
-    amp = psi.amplitudes
-    energy = float(np.vdot(amp, ctx.ham @ amp).real)
-    fid = float(min(abs(np.vdot(reference, amp)) ** 2, 1.0 + 1e-10))
-    ent = entanglement_entropy(psi, ctx.cut)
+    """One trajectory row from the state and energy the step's EOM already holds.
+
+    Fidelity is against ``reference``, or against the whole ground space
+    when ``reference`` is None.
+    """
+    amp = eom.psi.amplitudes
+    if reference is None:
+        fid = ctx.spectrum.ground_projector_overlap(amp)
+    else:
+        fid = float(min(abs(np.vdot(reference, amp)) ** 2, 1.0 + 1e-10))
+    ent = entanglement_entropy(eom.psi, ctx.cut)
     probs = np.abs(amp) ** 2
     numbers = ctx.n_diags @ probs
     return TrajectoryRecord(
-        step, time, theta.copy(), energy, fid, ent, numbers, float(np.linalg.norm(eom.v)), cond
+        step, time, theta.copy(), eom.energy, fid, ent, numbers, float(np.linalg.norm(eom.v)), cond
     )
 
 
@@ -268,11 +265,9 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     ev = cfg.evolution
     theta = random_initial_params(ctx.circuit, cfg.ansatz.init_seed, cfg.ansatz.init_range)
 
+    # A degenerate ground space has no single reference vector.
     ground = ctx.spectrum
-    if ground.ground_multiplicity() > 1:
-        reference = None  # fidelity from the projector instead
-    else:
-        reference = ground.ground_vector
+    reference = ground.ground_vector if ground.ground_multiplicity() == 1 else None
 
     def deriv(th):
         eom = est(th, "imag")
@@ -288,22 +283,7 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     for k in range(ev.steps + 1):
         eom = est(theta, "imag")
         dot, info = solve_flow(eom.m, -0.5 * eom.v, ev.cutoff, ev.tikhonov)
-        if reference is None:
-            psi = ctx.circuit.state(theta, ctx.psi0)
-            rec = snapshot(ctx, theta, k, tau, psi.amplitudes, eom, info.retained_cond)
-            rec = TrajectoryRecord(
-                rec.step,
-                rec.time,
-                rec.theta,
-                rec.energy,
-                ground.ground_projector_overlap(psi.amplitudes),
-                rec.entropy,
-                rec.site_numbers,
-                rec.grad_norm,
-                rec.m_cond,
-            )
-        else:
-            rec = snapshot(ctx, theta, k, tau, reference, eom, info.retained_cond)
+        rec = snapshot(ctx, theta, k, tau, reference, eom, info.retained_cond)
         records.append(rec)
         if k == ev.steps or rec.grad_norm < ev.grad_tolerance:
             break
