@@ -8,6 +8,7 @@ entangler generated by the plaquette loop sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -15,15 +16,10 @@ import numpy as np
 from .core import (
     LocalOperator,
     QuditRegister,
-    apply,
-    crot_gate,
+    batch_kernel,
     crot_generator,
     embedded_pauli,
-    ms_gate,
     ms_generator,
-    plaquette_gate,
-    rotation_gate,
-    rz_gate,
 )
 from .model import LatticeSpec, plaquette_lattice, plaquette_loop_op
 
@@ -32,7 +28,11 @@ _HALF_PI = np.pi / 2.0
 
 @dataclass(frozen=True)
 class Gate:
-    """One parametrized gate: exp(-i theta G) driven by parameter slot ``slot``."""
+    """One parametrized gate: exp(-i theta G) driven by parameter slot ``slot``.
+
+    ``kind``, ``levels`` and ``phi`` only label the gate; its matrix comes
+    from ``generator`` alone.
+    """
 
     kind: str  # rotation | rz | ms | crot | plaq
     targets: tuple[int, ...]
@@ -41,24 +41,17 @@ class Gate:
     levels: tuple[int, int] | None = None
     phi: float = 0.0
 
-    def raw_matrix(self, theta: float, d: int) -> np.ndarray:
-        if self.kind == "rotation":
-            i, j = self.levels
-            return rotation_gate(d, i, j, theta, self.phi).matrix
-        if self.kind == "rz":
-            i, j = self.levels
-            return rz_gate(d, i, j, theta).matrix
-        if self.kind == "ms":
-            i, j = self.levels
-            return ms_gate(d, i, j, theta).matrix
-        if self.kind == "crot":
-            return crot_gate(theta, d).matrix
-        if self.kind == "plaq":
-            return plaquette_gate(theta, self.generator).matrix
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of the generator, computed on first use."""
+        return np.linalg.eigh(self.generator.matrix)
 
-    def matrix(self, theta: float, d: int) -> LocalOperator:
-        return LocalOperator(d, self.targets, self.raw_matrix(theta, d))
+    def matrix(self, theta: float) -> np.ndarray:
+        """exp(-i theta G), exactly the identity at theta = 0."""
+        if theta == 0.0:
+            return np.eye(self.generator.matrix.shape[0], dtype=complex)
+        w, v = self.eigenbasis
+        return (v * np.exp(-1.0j * theta * w)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -92,60 +85,39 @@ class Circuit:
             raise ValueError(f"expected {self.num_params} parameters, got shape {theta.shape}")
         return theta
 
+    @cached_property
     def _kernels(self):
-        from .core import batch_kernel
-
         return [batch_kernel(self.num_qudits, self.local_dim, g.targets) for g in self.gates]
 
     def state(self, theta: Sequence[float], psi0: QuditRegister) -> QuditRegister:
         theta = self._check_theta(theta)
-        d = self.local_dim
         rows = psi0.amplitudes.reshape(1, -1)
-        for g, kernel in zip(self.gates, self._kernels()):
-            rows = kernel(rows, g.raw_matrix(theta[g.slot], d))
-        return QuditRegister(psi0.num_qudits, d, rows.reshape(-1), psi0.has_ancilla)
-
-    def tangent(self, theta: Sequence[float], mu: int, psi0: QuditRegister) -> np.ndarray:
-        """d|psi>/d theta_mu via the product rule over all gates sharing the slot."""
-        theta = self._check_theta(theta)
-        positions = self.slot_positions(mu)
-        total = np.zeros_like(psi0.amplitudes)
-        for pos in positions:
-            out = psi0
-            for p, g in enumerate(self.gates):
-                out = apply(out, g.matrix(theta[g.slot], self.local_dim))
-                if p == pos:
-                    out = apply(out, g.generator)
-                    out = QuditRegister(
-                        out.num_qudits, out.local_dim, -1.0j * out.amplitudes, out.has_ancilla
-                    )
-            total = total + out.amplitudes
-        return total
+        for g, kernel in zip(self.gates, self._kernels):
+            rows = kernel(rows, g.matrix(theta[g.slot]))
+        return QuditRegister(psi0.num_qudits, self.local_dim, rows.reshape(-1), psi0.has_ancilla)
 
     def tangents(self, theta: Sequence[float], psi0: QuditRegister):
         """State and all tangent vectors in one batched sweep.
 
-        Returns (psi, T) where T[:, mu] = d|psi>/d theta_mu.  Each gate is
-        applied to the evolving state and to the in-flight bundle of partial
-        tangents, which keeps the cost at one pass over the gate list.
+        Returns (psi, T) where T[:, mu] = d|psi>/d theta_mu, the sum over the
+        gates sharing slot mu of the product rule.  Each gate is applied to
+        the evolving state and to the in-flight bundle of partial tangents,
+        which keeps the cost at one pass over the gate list.
         """
         theta = self._check_theta(theta)
-        d = self.local_dim
         dim = psi0.dim
-        npos = len(self.gates)
-        bundle = np.empty((npos, dim), dtype=complex)
+        bundle = np.empty((len(self.gates), dim), dtype=complex)
         phi = psi0.amplitudes.reshape(1, -1)
-        kernels = self._kernels()
-        for p, g in enumerate(self.gates):
-            mat = g.raw_matrix(theta[g.slot], d)
-            phi = kernels[p](phi, mat)
+        for p, (g, kernel) in enumerate(zip(self.gates, self._kernels)):
+            mat = g.matrix(theta[g.slot])
+            phi = kernel(phi, mat)
             if p > 0:
-                bundle[:p] = kernels[p](bundle[:p], mat)
-            bundle[p] = -1.0j * kernels[p](phi, g.generator.matrix)[0]
+                bundle[:p] = kernel(bundle[:p], mat)
+            bundle[p] = -1.0j * kernel(phi, g.generator.matrix)[0]
         tang = np.zeros((self.num_params, dim), dtype=complex)
         for p, g in enumerate(self.gates):
             tang[g.slot] += bundle[p]
-        state = QuditRegister(psi0.num_qudits, d, phi.reshape(-1), psi0.has_ancilla)
+        state = QuditRegister(psi0.num_qudits, self.local_dim, phi.reshape(-1), psi0.has_ancilla)
         return state, np.ascontiguousarray(tang.T)
 
     def describe(self) -> str:

@@ -289,7 +289,7 @@ def _word_steps(circuit: Circuit, theta, insertions):
     """
     theta = np.asarray(theta, dtype=float)
     d = circuit.local_dim
-    gate_mats = [g.matrix(theta[g.slot], d) for g in circuit.gates]
+    gate_mats = [LocalOperator(d, g.targets, g.matrix(theta[g.slot])) for g in circuit.gates]
     steps: list[tuple[LocalOperator, bool]] = []
     ordered = list(reversed(insertions))  # rightmost factor acts first
     cursor = 0
@@ -426,7 +426,7 @@ def heisenberg_slot_generator(circuit: Circuit, theta, mu: int) -> np.ndarray:
     prefixes = {}
     positions = set(circuit.slot_positions(mu))
     for p, g in enumerate(circuit.gates):
-        prefix = lift_operator(g.matrix(theta[g.slot], d), n) @ prefix
+        prefix = lift_operator(LocalOperator(d, g.targets, g.matrix(theta[g.slot])), n) @ prefix
         if p in positions:
             prefixes[p] = prefix.copy()
     total = np.zeros((dim, dim), dtype=complex)
@@ -441,7 +441,7 @@ def circuit_unitary(circuit: Circuit, theta) -> np.ndarray:
     n, d = circuit.num_qudits, circuit.local_dim
     mat = np.eye(d**n, dtype=complex)
     for g in circuit.gates:
-        mat = lift_operator(g.matrix(theta[g.slot], d), n) @ mat
+        mat = lift_operator(LocalOperator(d, g.targets, g.matrix(theta[g.slot])), n) @ mat
     return mat
 
 

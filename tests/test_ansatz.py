@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from quditgauge.ansatz import chain_circuit, plaquette_circuit, random_initial_params
-from quditgauge.core import basis_state
+from quditgauge.core import basis_state, crot_gate, ms_gate, plaquette_gate, rotation_gate, rz_gate
 
 from helpers import kron_lift
 
@@ -68,7 +68,7 @@ class TestStateEvaluation:
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
         full = np.eye(27, dtype=complex)
         for g in circ.gates:
-            full = kron_lift(g.raw_matrix(theta[g.slot], 3), g.targets, 3, 3) @ full
+            full = kron_lift(g.matrix(theta[g.slot]), g.targets, 3, 3) @ full
         want = full @ psi0.amplitudes
         got = circ.state(theta, psi0).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
@@ -94,6 +94,36 @@ ALL_FAMILIES = [
 ]
 
 
+def closed_form(gate, theta):
+    """The gate's matrix from the closed-form builder of its kind."""
+    if gate.kind == "rotation":
+        return rotation_gate(3, *gate.levels, theta, gate.phi).matrix
+    if gate.kind == "rz":
+        return rz_gate(3, *gate.levels, theta).matrix
+    if gate.kind == "ms":
+        return ms_gate(3, *gate.levels, theta).matrix
+    if gate.kind == "crot":
+        return crot_gate(theta).matrix
+    return plaquette_gate(theta, gate.generator).matrix
+
+
+class TestGateMatrices:
+    def test_families_cover_every_kind(self):
+        kinds = {g.kind for _, make, _ in ALL_FAMILIES for g in make().gates}
+        assert kinds == {"rotation", "rz", "ms", "crot", "plaq"}
+
+    @pytest.mark.parametrize("name,make,n", ALL_FAMILIES, ids=[f[0] for f in ALL_FAMILIES])
+    def test_generator_matches_closed_form(self, name, make, n):
+        circ = make()
+        rng = np.random.default_rng(37)
+        for g in circ.gates:
+            for theta in rng.uniform(-np.pi, np.pi, 3):
+                err = np.max(np.abs(g.matrix(theta) - closed_form(g, theta)))
+                assert err < 1e-13, (name, g.kind, g.targets, theta)
+            dim = g.generator.matrix.shape[0]
+            assert np.array_equal(g.matrix(0.0), np.eye(dim)), (name, g.kind, g.targets)
+
+
 class TestTangents:
     @pytest.mark.parametrize("name,make,n", ALL_FAMILIES, ids=[f[0] for f in ALL_FAMILIES])
     def test_matches_finite_difference(self, name, make, n):
@@ -113,31 +143,30 @@ class TestTangents:
                 assert np.max(np.abs(tang[:, mu] - fd)) < 1e-8, (name, mu)
 
     def test_single_gate_product_rule(self):
+        # the tangent of a shared slot is the sum over its gates of the
+        # circuit with -iG inserted after that gate
         circ = chain_circuit(3, 1, "imag")
         psi0 = vacuum(3)
         theta = np.full(circ.num_params, 0.3)
-        # slot driving one gate only would be ideal; emulate by checking the
-        # sum over positions explicitly for a shared slot
-        mu = 0
+        mu = 3  # first rotation of the block the two edge links share
         positions = circ.slot_positions(mu)
-        assert len(positions) >= 1
+        assert len(positions) > 1
         total = np.zeros(27, dtype=complex)
         for pos in positions:
-            state = psi0
-            from quditgauge.core import apply
-
+            state = psi0.amplitudes
             for p, g in enumerate(circ.gates):
-                state = apply(state, g.matrix(theta[g.slot], 3))
+                state = kron_lift(g.matrix(theta[g.slot]), g.targets, 3, 3) @ state
                 if p == pos:
-                    seeded = apply(state, g.generator)
-                    state = state.__class__(3, 3, -1j * seeded.amplitudes)
-            total += state.amplitudes
-        assert np.max(np.abs(total - circ.tangent(theta, mu, psi0))) < 1e-12
+                    state = -1j * kron_lift(g.generator.matrix, g.targets, 3, 3) @ state
+            total += state
+        _, tang = circ.tangents(theta, psi0)
+        assert np.max(np.abs(total - tang[:, mu])) < 1e-12
 
     def test_slot_out_of_range(self):
         circ = chain_circuit(3, 1, "imag")
-        with pytest.raises(ValueError):
-            circ.tangent(np.zeros(circ.num_params), circ.num_params, vacuum(3))
+        for mu in (-1, circ.num_params):
+            with pytest.raises(ValueError):
+                circ.slot_positions(mu)
 
     def test_norm_matches_fd_across_draws(self):
         circ = chain_circuit(5, 1, "imag")

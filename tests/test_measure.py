@@ -321,7 +321,7 @@ class TestElementFromHadamard:
             (split.norm / 2, split.unitary),
             (split.norm / 2, split.unitary.dagger()),
         ]
-        u = circ.gates[0].raw_matrix(theta[0], 3)
+        u = circ.gates[0].matrix(theta[0])
         g_t = u.conj().T @ gen.matrix @ u
         h_t = u.conj().T @ h @ u
         want_comm = (1j * np.vdot(psi, (g_t @ h_t - h_t @ g_t) @ psi)).real

@@ -182,7 +182,7 @@ class TestRealTimeVector:
         full = np.eye(27, dtype=complex)
         prefixes = []
         for g in circ.gates:
-            full = kron_lift(g.raw_matrix(theta[g.slot], 3), g.targets, 3, 3) @ full
+            full = kron_lift(g.matrix(theta[g.slot]), g.targets, 3, 3) @ full
             prefixes.append(full.copy())
         h_tilde = full.conj().T @ ham @ full
         amps = psi0.amplitudes
@@ -287,6 +287,26 @@ class TestGroundSearch:
             assert 0.0 <= r.fidelity <= 1.0 + 1e-10
             assert r.site_numbers.shape == (4,)
             assert np.isfinite(r.energy)
+
+
+    def test_one_sweep_per_row_and_one_state_per_candidate(self, monkeypatch):
+        calls = {"tangents": 0, "state": 0}
+        for name in calls:
+            original = getattr(Circuit, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Circuit, name, counted)
+        steps, dt = 6, 0.02
+        recs, _ = run_ground_search(
+            small_vite_config(evolution=EvolutionConfig(mode="vite", dt=dt, steps=steps))
+        )
+        assert len(recs) == steps + 1
+        # no candidate was halved, so each step made one candidate
+        assert [r.time for r in recs] == pytest.approx(dt * np.arange(steps + 1))
+        assert calls == {"tangents": steps + 1, "state": steps}
 
 
 class TestQuench:
