@@ -21,7 +21,7 @@ from .core import (
     embedded_pauli,
     ms_generator,
 )
-from .model import LatticeSpec, plaquette_lattice, plaquette_loop_op
+from .model import plaquette_lattice, plaquette_loop_op
 
 _HALF_PI = np.pi / 2.0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures, measure, model, oracle, varsim
-from .config import ConfigError, RunConfig, config_hash, load_config
+from .config import ConfigError, RunConfig, config_hash, load_config, validate_config
 from .model import CapError
 
 EXIT_CONFIG = 2
@@ -169,9 +169,10 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
 
 
 def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
-    ctx = varsim.RunContext.from_config(cfg)
-    if ctx.psi0.dim > 243:
+    # Checked before the context builds the dense Hamiltonian and its spectrum.
+    if cfg.model.local_dim**cfg.model.num_links > 243:
         raise ConfigError("measure-check is meant for small models (L=3 or the plaquette)")
+    ctx = varsim.RunContext.from_config(cfg)
     cfg_hash = config_hash(cfg)
     out = _out_dir(cfg, out_override)
     circuit, psi0 = ctx.circuit, ctx.psi0
@@ -277,11 +278,13 @@ def cmd_bootstrap(write: bool) -> int:
 def _apply_overrides(cfg: RunConfig, seed: int | None) -> RunConfig:
     if seed is None:
         return cfg
-    return dataclasses.replace(
+    cfg = dataclasses.replace(
         cfg,
         ansatz=dataclasses.replace(cfg.ansatz, init_seed=seed),
         estimator=dataclasses.replace(cfg.estimator, seed=seed),
     )
+    validate_config(cfg)
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -87,11 +88,14 @@ _CHOICES = {
 }
 
 
-def _coerce(section: str, key: str, value, target_type):
-    if target_type is float and isinstance(value, int) and not isinstance(value, bool):
+def _typed(section: str, key: str, value, want):
+    """``value`` checked against the field type; an int widens to a float."""
+    if want is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if target_type is (int | None) or (key == "shots" and value is None):
-        return value
+    # bool is an int subclass, but a flag is never a count.
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
+        name = getattr(want, "__name__", want)  # int | None has no __name__
+        raise ConfigError(f"{section}.{key} must be {name}, got {value!r}")
     return value
 
 
@@ -107,20 +111,12 @@ def parse_config(data: dict) -> RunConfig:
         raw = data.get(name, {})
         if not isinstance(raw, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
-        fields = cls.__dataclass_fields__
-        bad = set(raw) - set(fields)
+        types = get_type_hints(cls)
+        bad = set(raw) - set(types)
         if bad:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
-        kwargs = {}
-        for key, value in raw.items():
-            want = fields[key].type
-            if want == "float" and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            kwargs[key] = value
-        try:
-            sections[name] = cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad section {name!r}: {exc}") from exc
+        kwargs = {key: _typed(name, key, value, types[key]) for key, value in raw.items()}
+        sections[name] = cls(**kwargs)
     cfg = RunConfig(**sections)
     validate_config(cfg)
     return cfg
@@ -147,6 +143,10 @@ def validate_config(cfg: RunConfig) -> None:
     a = cfg.ansatz
     if a.layers < 1:
         raise ConfigError("ansatz.layers must be positive")
+    if not a.init_range > 0:
+        raise ConfigError("ansatz.init_range must be positive")
+    if a.init_seed < 0 or cfg.estimator.seed < 0:
+        raise ConfigError("ansatz.init_seed and estimator.seed must be nonnegative")
     if a.family == "chain" and m.dimension != 1:
         raise ConfigError("chain ansatz requires a 1D model")
     if a.family == "plaquette" and m.dimension != 2:
@@ -158,11 +158,15 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("evolution.dt must be positive")
     if e.steps < 1:
         raise ConfigError("evolution.steps must be positive")
-    if e.cutoff < 0 or e.tikhonov < 0:
-        raise ConfigError("evolution.cutoff and tikhonov must be nonnegative")
+    if not 0 <= e.cutoff < 1:
+        raise ConfigError("evolution.cutoff must lie in [0, 1): a cutoff of 1 drops every direction")
+    if e.tikhonov < 0:
+        raise ConfigError("evolution.tikhonov must be nonnegative")
     est = cfg.estimator
     if est.shots is not None and est.shots < 1:
         raise ConfigError("estimator.shots must be >= 1 when set")
+    if est.samples < 1:
+        raise ConfigError("estimator.samples must be positive")
     if est.mode == "randomized" and cfg.evolution.mode == "vite":
         raise ConfigError("the randomized estimator only provides anticommutators (vrte)")
     if est.mode == "shift" and cfg.evolution.mode == "vrte":

@@ -18,6 +18,14 @@ HERMITIAN_ATOL = 1e-12
 ENTROPY_EIG_FLOOR = 1e-14
 
 
+def check_hermitian(a: np.ndarray, what: str, atol: float = 0.0, rtol: float = 0.0) -> None:
+    """Raise ValueError unless max|A - A^dag| < atol + rtol * max(1, max|A|)."""
+    err = float(np.max(np.abs(a - a.conj().T)))
+    bound = atol + (rtol * max(1.0, float(np.max(np.abs(a)))) if rtol else 0.0)
+    if err >= bound:
+        raise ValueError(f"{what} is not Hermitian: ||A - A^dag||_max = {err:.3e}")
+
+
 @dataclass(frozen=True)
 class QuditRegister:
     """Complex amplitude vector over ``num_qudits`` qudits of dimension ``local_dim``."""
@@ -78,9 +86,7 @@ class LocalOperator:
                 f"matrix shape {self.matrix.shape} does not match {k} targets of dim {self.local_dim}"
             )
         if self.hermitian:
-            err = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            if err >= HERMITIAN_ATOL:
-                raise ValueError(f"operator flagged hermitian but ||A - A^dag||_max = {err:.3e}")
+            check_hermitian(self.matrix, "flagged operator", atol=HERMITIAN_ATOL)
 
     def on(self, *targets: int) -> "LocalOperator":
         """Rebind the operator to new target qudits."""
@@ -209,9 +215,7 @@ def crot_generator(d: int = 3) -> LocalOperator:
 
 def plaquette_gate(theta: float, plaq_op: LocalOperator) -> LocalOperator:
     """Four-qudit entangler exp(-i theta S) generated by a Hermitian loop sum S."""
-    err = np.max(np.abs(plaq_op.matrix - plaq_op.matrix.conj().T))
-    if err >= 1e-10:
-        raise ValueError(f"plaquette generator not Hermitian: ||A - A^dag||_max = {err:.3e}")
+    check_hermitian(plaq_op.matrix, "plaquette generator", atol=1e-10)
     if theta == 0.0:
         mat = np.eye(plaq_op.matrix.shape[0], dtype=complex)
     else:

@@ -279,6 +279,12 @@ def hadamard_test(
     return _maybe_binomial(p, shots, rng)
 
 
+def _gate_ops(circuit: Circuit, theta) -> list[LocalOperator]:
+    """Every gate of the circuit at ``theta``, in application order."""
+    theta = np.asarray(theta, dtype=float)
+    return [LocalOperator(circuit.local_dim, g.targets, g.matrix(theta[g.slot])) for g in circuit.gates]
+
+
 def _word_steps(circuit: Circuit, theta, insertions):
     """Step list realizing <O1~ O2~ ...> with each O conjugated up to its position.
 
@@ -287,9 +293,7 @@ def _word_steps(circuit: Circuit, theta, insertions):
     evaluated right to left: run forward to the rightmost insertion, then
     walk the circuit forward or backward between control points.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = circuit.local_dim
-    gate_mats = [LocalOperator(d, g.targets, g.matrix(theta[g.slot])) for g in circuit.gates]
+    gate_mats = _gate_ops(circuit, theta)
     steps: list[tuple[LocalOperator, bool]] = []
     ordered = list(reversed(insertions))  # rightmost factor acts first
     cursor = 0
@@ -419,14 +423,13 @@ def randomized_connected_anticommutator(
 
 def heisenberg_slot_generator(circuit: Circuit, theta, mu: int) -> np.ndarray:
     """Dense sum over slot positions of U_{1:p}^dag G_p U_{1:p}."""
-    theta = np.asarray(theta, dtype=float)
     n, d = circuit.num_qudits, circuit.local_dim
     dim = d**n
     prefix = np.eye(dim, dtype=complex)
     prefixes = {}
     positions = set(circuit.slot_positions(mu))
-    for p, g in enumerate(circuit.gates):
-        prefix = lift_operator(LocalOperator(d, g.targets, g.matrix(theta[g.slot])), n) @ prefix
+    for p, op in enumerate(_gate_ops(circuit, theta)):
+        prefix = lift_operator(op, n) @ prefix
         if p in positions:
             prefixes[p] = prefix.copy()
     total = np.zeros((dim, dim), dtype=complex)
@@ -437,11 +440,10 @@ def heisenberg_slot_generator(circuit: Circuit, theta, mu: int) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    n, d = circuit.num_qudits, circuit.local_dim
-    mat = np.eye(d**n, dtype=complex)
-    for g in circuit.gates:
-        mat = lift_operator(LocalOperator(d, g.targets, g.matrix(theta[g.slot])), n) @ mat
+    n = circuit.num_qudits
+    mat = np.eye(circuit.local_dim**n, dtype=complex)
+    for op in _gate_ops(circuit, theta):
+        mat = lift_operator(op, n) @ mat
     return mat
 
 

@@ -14,13 +14,14 @@ u_l = sqrt(d(d+1) - (l-d)(l-d+1)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
     LocalOperator,
+    check_hermitian,
     embedded_pauli,
     level_projector,
     lift_operator,
@@ -147,13 +148,6 @@ def link_raise_op(d: int, amplitude: str = "unit") -> LocalOperator:
     for l in range(d - 1):
         mat[l + 1, l] = u[l]
     return LocalOperator(d, (0,), mat)
-
-
-def staggered_charge(site) -> int:
-    """s_x = (1 - (-1)^x)/2 for integer or tuple site labels."""
-    if isinstance(site, tuple):
-        return sum(site) % 2
-    return site % 2
 
 
 def _chain_gauss_parts(site: int, lattice: LatticeSpec):
@@ -390,9 +384,7 @@ def unitary_split(op: LocalOperator) -> UnitarySplit:
     Diagonalize S, rescale to spectral radius one, and complete each
     eigenvalue to the unit circle: U = V (D + i sqrt(1 - D^2)) V^dag.
     """
-    err = np.max(np.abs(op.matrix - op.matrix.conj().T))
-    if err >= 1e-10:
-        raise ValueError(f"input not Hermitian: ||A - A^dag||_max = {err:.3e}")
+    check_hermitian(op.matrix, "split operator", atol=1e-10)
     w, v = np.linalg.eigh(op.matrix)
     norm = float(np.max(np.abs(w)))
     if norm < 1e-14:

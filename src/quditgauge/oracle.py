@@ -6,16 +6,10 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_hermitian
 from .model import DIM_CAP, CapError
 
 DEGENERACY_ATOL = 1e-10
-
-
-def _check_hermitian(h: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(h))))
-    err = np.max(np.abs(h - h.conj().T))
-    if err > 1e-10 * scale:
-        raise ValueError(f"matrix is not Hermitian: ||H - H^dag||_max = {err:.3e}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ class Spectrum:
 def eigendecompose(h: np.ndarray) -> Spectrum:
     if h.shape[0] > DIM_CAP:
         raise CapError(f"dimension {h.shape[0]} exceeds the dense cap {DIM_CAP}")
-    _check_hermitian(h)
+    check_hermitian(h, "Hamiltonian", rtol=1e-10)
     w, v = np.linalg.eigh(h)
     return Spectrum(w, v)
 
@@ -74,14 +68,6 @@ def evolve_imag(spec: Spectrum, psi0: np.ndarray, tau: float) -> np.ndarray:
     if norm < 1e-300:
         raise ValueError("imaginary-time evolution annihilated the state")
     return out / norm
-
-
-def evolve_real_dense(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    return evolve_real(eigendecompose(h), psi0, t)
-
-
-def evolve_imag_dense(h: np.ndarray, psi0: np.ndarray, tau: float) -> np.ndarray:
-    return evolve_imag(eigendecompose(h), psi0, tau)
 
 
 def finite_difference(

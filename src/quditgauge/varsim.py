@@ -18,7 +18,7 @@ from . import model as model_mod
 from . import oracle
 from .ansatz import Circuit, chain_circuit, plaquette_circuit, random_initial_params
 from .config import RunConfig
-from .core import QuditRegister, basis_state, entanglement_entropy, lift_diagonal
+from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, lift_diagonal
 from .model import HamiltonianSpec, materialize
 
 
@@ -110,10 +110,7 @@ def solve_flow(
     v = np.asarray(v, dtype=float)
     if m.shape != (v.size, v.size):
         raise ValueError(f"shape mismatch: M is {m.shape}, v has {v.size} entries")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    asym = np.max(np.abs(m - m.T))
-    if asym > 1e-8 * scale:
-        raise ValueError(f"metric is not symmetric: max asymmetry {asym:.3e}")
+    check_hermitian(m, "metric", rtol=1e-8)
     sym = (m + m.T) / 2.0
     if tikhonov > 0.0:
         sym = sym + tikhonov * np.eye(v.size)

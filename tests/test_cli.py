@@ -202,6 +202,45 @@ class TestErrorPaths:
         cfg_path = write_config(tmp_path, "c.json", SMALL_QUENCH)
         assert main(["ground", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("ansatz", "layers", "2"),
+            ("model", "num_links", "7"),
+            ("output", "precision", "x"),
+            ("ansatz", "layers", 1.5),
+            ("evolution", "steps", 2.5),
+            ("model", "dimension", True),
+            ("estimator", "samples", -3),
+            ("ansatz", "init_range", -1),
+            ("evolution", "cutoff", 1e6),
+            ("ansatz", "init_seed", -1),
+            ("estimator", "seed", -1),
+        ],
+    )
+    def test_bad_field_value_exits_2(self, tmp_path, capsys, section, key, value):
+        data = json.loads(json.dumps(SMALL_GROUND))
+        data.setdefault(section, {})[key] = value
+        cfg_path = write_config(tmp_path, "c.json", data)
+        assert main(["ground", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path):
+        cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
+        assert main(["ground", "--config", str(cfg_path), "--seed", "-2", "--out", str(tmp_path / "o")]) == 2
+
+    def test_measure_check_rejects_large_model_before_building_it(self, tmp_path, monkeypatch):
+        from quditgauge import model, varsim
+
+        def refuse(ham):
+            raise AssertionError("materialize called")
+
+        monkeypatch.setattr(model, "materialize", refuse)
+        monkeypatch.setattr(varsim, "materialize", refuse)
+        data = {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 1}}
+        cfg_path = write_config(tmp_path, "c.json", data)
+        assert main(["measure-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestBootstrap:
     def test_verify_clean(self, capsys):

@@ -8,7 +8,7 @@ from quditgauge.ansatz import Circuit, Gate, chain_circuit, plaquette_circuit
 from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig
 from quditgauge.core import LocalOperator, basis_state, embedded_pauli
 from quditgauge.model import chain_hamiltonian, materialize
-from quditgauge.oracle import finite_difference
+from quditgauge.oracle import Spectrum, finite_difference
 from quditgauge.varsim import (
     RunContext,
     energy_gradient,
@@ -288,6 +288,17 @@ class TestGroundSearch:
             assert r.site_numbers.shape == (4,)
             assert np.isfinite(r.energy)
 
+    def test_degenerate_ground_fidelity_is_ground_space_weight(self):
+        cfg = small_vite_config(evolution=EvolutionConfig(mode="vite", dt=0.05, steps=3))
+        ctx = RunContext.from_config(cfg)
+        w = ctx.spectrum.eigenvalues.copy()
+        w[1] = w[0]  # make the ground space two-dimensional
+        ctx.spectrum = Spectrum(w, ctx.spectrum.eigenvectors)
+        recs, _ = run_ground_search(cfg, ctx)
+        ground = ctx.spectrum.eigenvectors[:, :2]
+        for r in recs:
+            amp = ctx.circuit.state(r.theta, ctx.psi0).amplitudes
+            assert r.fidelity == pytest.approx(np.sum(np.abs(ground.conj().T @ amp) ** 2), abs=1e-12)
 
     def test_one_sweep_per_row_and_one_state_per_candidate(self, monkeypatch):
         calls = {"tangents": 0, "state": 0}
