@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import groupby
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     LocalOperator,
     QuditRegister,
-    batch_kernel,
     crot_generator,
     embedded_pauli,
     ms_generator,
@@ -55,8 +56,43 @@ class Gate:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """A maximal run of consecutive gates on the same targets, applied as one matrix.
+
+    ``rows[k]`` is the tangent-bundle row of gate k's slot; ``active`` counts
+    the bundle rows already in use when the stage starts.
+    """
+
+    gates: tuple[Gate, ...]
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rows: tuple[int, ...]
+    active: int
+
+    def unitary(self, theta: np.ndarray) -> np.ndarray:
+        """U = M_K ... M_1 of the stage's gates."""
+        u = self.gates[0].matrix(theta[self.gates[0].slot])
+        for g in self.gates[1:]:
+            u = g.matrix(theta[g.slot]) @ u
+        return u
+
+    def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """U and, for each gate k, D_k = (M_K ... M_{k+1}) (-i G_k) (M_k ... M_1)."""
+        mats = [g.matrix(theta[g.slot]) for g in self.gates]
+        prefix = [mats[0]]
+        for m in mats[1:]:
+            prefix.append(m @ prefix[-1])
+        ders = []
+        suffix = None  # M_K ... M_{k+1}; None while it is the identity
+        for k in range(len(mats) - 1, -1, -1):
+            der = -1.0j * (self.gates[k].generator.matrix @ prefix[k])
+            ders.append(der if suffix is None else suffix @ der)
+            suffix = mats[k] if suffix is None else suffix @ mats[k]
+        return prefix[-1], ders[::-1]
+
+
+@dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over shared parameter slots."""
+    """Ordered gate list over shared parameter slots, run as fused stages."""
 
     gates: tuple[Gate, ...]
     num_params: int
@@ -86,39 +122,60 @@ class Circuit:
         return theta
 
     @cached_property
-    def _kernels(self):
-        return [batch_kernel(self.num_qudits, self.local_dim, g.targets) for g in self.gates]
+    def stages(self) -> tuple[Stage, ...]:
+        """The stage plan, built on first use.
+
+        Slots get tangent-bundle rows in the order the gates first touch them.
+        """
+        rows: dict[int, int] = {}
+        stages = []
+        for targets, run in groupby(self.gates, key=lambda g: g.targets):
+            run = tuple(run)
+            active = len(rows)
+            for g in run:
+                rows.setdefault(g.slot, len(rows))
+            kernel = core.batch_kernel(self.num_qudits, self.local_dim, targets)
+            stages.append(Stage(run, kernel, tuple(rows[g.slot] for g in run), active))
+        return tuple(stages)
+
+    @cached_property
+    def _slot_rows(self) -> np.ndarray:
+        """Tangent-bundle row of each slot."""
+        rows = np.empty(self.num_params, dtype=np.intp)
+        for st in self.stages:
+            for g, row in zip(st.gates, st.rows):
+                rows[g.slot] = row
+        return rows
 
     def state(self, theta: Sequence[float], psi0: QuditRegister) -> QuditRegister:
         theta = self._check_theta(theta)
         rows = psi0.amplitudes.reshape(1, -1)
-        for g, kernel in zip(self.gates, self._kernels):
-            rows = kernel(rows, g.matrix(theta[g.slot]))
+        for st in self.stages:
+            rows = st.kernel(rows, st.unitary(theta))
         return QuditRegister(psi0.num_qudits, self.local_dim, rows.reshape(-1), psi0.has_ancilla)
 
     def tangents(self, theta: Sequence[float], psi0: QuditRegister):
         """State and all tangent vectors in one batched sweep.
 
         Returns (psi, T) where T[:, mu] = d|psi>/d theta_mu, the sum over the
-        gates sharing slot mu of the product rule.  Each gate is applied to
-        the evolving state and to the in-flight bundle of partial tangents,
-        which keeps the cost at one pass over the gate list.
+        gates sharing slot mu of the product rule.  The bundle holds one row
+        per slot: each stage pushes the rows already in use through its
+        unitary once, then adds D_k applied to the state before the stage
+        into the row of gate k's slot, so the cost is one pass over the
+        stages with at most P rows in flight.
         """
         theta = self._check_theta(theta)
-        dim = psi0.dim
-        bundle = np.empty((len(self.gates), dim), dtype=complex)
+        bundle = np.zeros((self.num_params, psi0.dim), dtype=complex)
         phi = psi0.amplitudes.reshape(1, -1)
-        for p, (g, kernel) in enumerate(zip(self.gates, self._kernels)):
-            mat = g.matrix(theta[g.slot])
-            phi = kernel(phi, mat)
-            if p > 0:
-                bundle[:p] = kernel(bundle[:p], mat)
-            bundle[p] = -1.0j * kernel(phi, g.generator.matrix)[0]
-        tang = np.zeros((self.num_params, dim), dtype=complex)
-        for p, g in enumerate(self.gates):
-            tang[g.slot] += bundle[p]
+        for st in self.stages:
+            u, ders = st.derivatives(theta)
+            if st.active:
+                bundle[: st.active] = st.kernel(bundle[: st.active], u)
+            for row, der in zip(st.rows, ders):
+                bundle[row] += st.kernel(phi, der)[0]
+            phi = st.kernel(phi, u)
         state = QuditRegister(psi0.num_qudits, self.local_dim, phi.reshape(-1), psi0.has_ancilla)
-        return state, np.ascontiguousarray(tang.T)
+        return state, np.ascontiguousarray(bundle[self._slot_rows].T)
 
     def describe(self) -> str:
         lines = [

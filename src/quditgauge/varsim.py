@@ -17,7 +17,7 @@ import numpy as np
 from . import model as model_mod
 from . import oracle
 from .ansatz import Circuit, chain_circuit, plaquette_circuit, random_initial_params
-from .config import RunConfig
+from .config import EvolutionConfig, RunConfig
 from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, lift_diagonal
 from .model import HamiltonianSpec, materialize
 
@@ -253,6 +253,21 @@ def snapshot(
     )
 
 
+_MAX_HALVINGS = 40
+
+
+def _checked_flow(est, theta: np.ndarray, kind: str, sign: float, ev: EvolutionConfig, step: int):
+    """EOM and flow at theta; a non-finite theta, M or v is a numerical failure of ``step``."""
+    if not np.all(np.isfinite(theta)):
+        raise RuntimeError(f"step {step}: non-finite parameters")
+    eom = est(theta, kind)
+    for what, arr in (("metric", eom.m), ("flow vector", eom.v)):
+        if not np.all(np.isfinite(arr)):
+            raise RuntimeError(f"step {step}: non-finite {what}")
+    dot, info = solve_flow(eom.m, sign * eom.v, ev.cutoff, ev.tikhonov)
+    return eom, dot, info
+
+
 def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     """Imaginary-time flow from a random start; records one row per step."""
     if cfg.evolution.mode != "vite":
@@ -266,10 +281,8 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     ground = ctx.spectrum
     reference = ground.ground_vector if ground.ground_multiplicity() == 1 else None
 
-    def deriv(th):
-        eom = est(th, "imag")
-        dot, _ = solve_flow(eom.m, -0.5 * eom.v, ev.cutoff, ev.tikhonov)
-        return dot
+    def deriv(th):  # k is the step being taken
+        return _checked_flow(est, th, "imag", -0.5, ev, k)[1]
 
     def energy_of(th):
         amp = ctx.circuit.state(th, ctx.psi0).amplitudes
@@ -278,8 +291,7 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     records: list[TrajectoryRecord] = []
     tau = 0.0
     for k in range(ev.steps + 1):
-        eom = est(theta, "imag")
-        dot, info = solve_flow(eom.m, -0.5 * eom.v, ev.cutoff, ev.tikhonov)
+        eom, dot, info = _checked_flow(est, theta, "imag", -0.5, ev, k)
         rec = snapshot(ctx, theta, k, tau, reference, eom, info.retained_cond)
         records.append(rec)
         if k == ev.steps or rec.grad_norm < ev.grad_tolerance:
@@ -287,11 +299,15 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
         # The continuous flow can only lower the energy, so a candidate step
         # that raises it has overshot: halve the step until it descends.
         dt = ev.dt
-        for _ in range(40):
+        for _ in range(_MAX_HALVINGS):
             candidate = integrate_step(theta, deriv, dt, ev.integrator, k1=dot)
             if energy_of(candidate) <= rec.energy + 1e-9:
                 break
             dt /= 2.0
+        else:
+            raise RuntimeError(
+                f"step {k}: the energy still rose after {_MAX_HALVINGS} halvings of dt = {ev.dt:g}"
+            )
         theta = candidate
         tau += dt
     return records, ctx
@@ -306,18 +322,17 @@ def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
     ev = cfg.evolution
     theta = np.zeros(ctx.circuit.num_params)
 
-    def deriv(th):
-        eom = est(th, "real")
-        dot, _ = solve_flow(eom.m, 0.5 * eom.v, ev.cutoff, ev.tikhonov)
-        return dot
+    def deriv(th):  # k is the step being taken
+        return _checked_flow(est, th, "real", 0.5, ev, k)[1]
 
     records: list[TrajectoryRecord] = []
     exact_rows: list[dict] = []
     for k in range(ev.steps + 1):
         t = k * ev.dt
         ref = oracle.evolve_real(ctx.spectrum, ctx.psi0.amplitudes, t)
-        eom = est(theta, "real")
-        dot, info = solve_flow(eom.m, 0.5 * eom.v, ev.cutoff, ev.tikhonov)
+        if not np.all(np.isfinite(ref)):
+            raise RuntimeError(f"step {k}: non-finite exact state at t = {t:g}")
+        eom, dot, info = _checked_flow(est, theta, "real", 0.5, ev, k)
         records.append(snapshot(ctx, theta, k, t, ref, eom, info.retained_cond))
         probs = np.abs(ref) ** 2
         ref_state = QuditRegister(ctx.psi0.num_qudits, ctx.psi0.local_dim, ref)

@@ -2,8 +2,25 @@
 import numpy as np
 import pytest
 
-from quditgauge.ansatz import chain_circuit, plaquette_circuit, random_initial_params
-from quditgauge.core import basis_state, crot_gate, ms_gate, plaquette_gate, rotation_gate, rz_gate
+from quditgauge.ansatz import (
+    Circuit,
+    Gate,
+    _rotation_generator,
+    _rz_generator,
+    chain_circuit,
+    plaquette_circuit,
+    random_initial_params,
+)
+from quditgauge.core import (
+    basis_state,
+    crot_gate,
+    crot_generator,
+    ms_gate,
+    ms_generator,
+    plaquette_gate,
+    rotation_gate,
+    rz_gate,
+)
 
 from helpers import kron_lift
 
@@ -124,7 +141,83 @@ class TestGateMatrices:
             assert np.array_equal(g.matrix(0.0), np.eye(dim)), (name, g.kind, g.targets)
 
 
+def dense_tangents(circ, theta, psi0):
+    """Product-rule reference: the dense circuit with -iG inserted after each gate, summed per slot."""
+    n, d = circ.num_qudits, circ.local_dim
+    lifted = [kron_lift(g.matrix(theta[g.slot]), g.targets, n, d) for g in circ.gates]
+    tang = np.zeros((psi0.dim, circ.num_params), dtype=complex)
+    state = psi0.amplitudes
+    for p, g in enumerate(circ.gates):
+        state = lifted[p] @ state
+        branch = -1j * kron_lift(g.generator.matrix, g.targets, n, d) @ state
+        for later in lifted[p + 1 :]:
+            branch = later @ branch
+        tang[:, g.slot] += branch
+    return state, tang
+
+
+def hand_built_circuit() -> Circuit:
+    """Three qutrits, six slots, first touched in the order 2, 0, 4, 1, 3, 5.
+
+    Slot 2 is shared by gates in two stages; the run of gates on qudit 1 is
+    split by a gate on qudit 2; slot 5 is shared inside one stage; the CROT
+    on (2, 0) takes the kernel's non-adjacent path.
+    """
+    d = 3
+    gates = (
+        Gate("rotation", (1,), 2, _rotation_generator(d, 0, 1, 0.0, 1), (0, 1)),
+        Gate("rz", (1,), 0, _rz_generator(d, 0, 2, 1), (0, 2)),
+        Gate("rotation", (2,), 4, _rotation_generator(d, 1, 2, 0.0, 2), (1, 2)),
+        Gate("rotation", (1,), 2, _rotation_generator(d, 0, 2, np.pi / 2, 1), (0, 2), np.pi / 2),
+        Gate("ms", (0, 1), 1, ms_generator(d, 1, 2).on(0, 1), (1, 2)),
+        Gate("crot", (2, 0), 3, crot_generator(d).on(2, 0)),
+        Gate("rotation", (0,), 5, _rotation_generator(d, 1, 2, np.pi / 2, 0), (1, 2), np.pi / 2),
+        Gate("rz", (0,), 5, _rz_generator(d, 0, 1, 0), (0, 1)),
+    )
+    return Circuit(gates, 6, 3, d, 1, "hand")
+
+
+class TestStagePlan:
+    def test_stage_boundaries_and_rows(self):
+        circ = hand_built_circuit()
+        assert [st.gates[0].targets for st in circ.stages] == [(1,), (2,), (1,), (0, 1), (2, 0), (0,)]
+        assert [len(st.gates) for st in circ.stages] == [2, 1, 1, 1, 1, 2]
+        assert [st.rows for st in circ.stages] == [(0, 1), (2,), (0,), (3,), (4,), (5, 5)]
+        assert [st.active for st in circ.stages] == [0, 2, 3, 3, 4, 5]
+
+    def test_chain_fuses_each_rotation_block(self):
+        # per layer: one 3-gate stage per link and one stage per MS gate
+        circ = chain_circuit(7, 3, "imag")
+        assert len(circ.gates) == 81
+        assert len(circ.stages) == 39
+        assert sum(len(st.gates) for st in circ.stages) == 81
+
+    def test_matches_dense_reference(self):
+        circ = hand_built_circuit()
+        psi0 = vacuum(3)
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+            want_psi, want = dense_tangents(circ, theta, psi0)
+            psi, tang = circ.tangents(theta, psi0)
+            assert np.max(np.abs(tang - want)) < 1e-12
+            assert np.max(np.abs(psi.amplitudes - want_psi)) < 1e-14
+            assert np.max(np.abs(circ.state(theta, psi0).amplitudes - want_psi)) < 1e-14
+
+
 class TestTangents:
+    @pytest.mark.parametrize("name,make,n", ALL_FAMILIES, ids=[f[0] for f in ALL_FAMILIES])
+    def test_matches_dense_product_rule(self, name, make, n):
+        circ = make()
+        psi0 = vacuum(n)
+        rng = np.random.default_rng(29)
+        for _ in range(2):
+            theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+            _, want = dense_tangents(circ, theta, psi0)
+            psi, tang = circ.tangents(theta, psi0)
+            assert np.max(np.abs(tang - want)) < 1e-12, name
+            assert np.max(np.abs(psi.amplitudes - circ.state(theta, psi0).amplitudes)) < 1e-14, name
+
     @pytest.mark.parametrize("name,make,n", ALL_FAMILIES, ids=[f[0] for f in ALL_FAMILIES])
     def test_matches_finite_difference(self, name, make, n):
         circ = make()

@@ -1,5 +1,6 @@
 """Configuration handling, output formats, determinism, exit codes."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,25 @@ class TestErrorPaths:
         data = {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 1}}
         cfg_path = write_config(tmp_path, "c.json", data)
         assert main(["measure-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestNumericalFailure:
+    # dt = 1e308 overshoots at once: the ground search runs out of halvings
+    # (it used to take the uphill step and write "tau": Infinity with exit 0),
+    # and the quench's exact reference overflows
+    @pytest.mark.parametrize("command,mode", [("ground", "vite"), ("quench", "vrte")])
+    def test_runaway_step_exits_3_naming_the_step(self, tmp_path, capsys, command, mode):
+        data = {
+            "model": {"dimension": 1, "num_links": 3},
+            "ansatz": {"family": "chain", "layers": 1, "init_seed": 1},
+            "evolution": {"mode": mode, "dt": 1e308, "steps": 6, "integrator": "euler"},
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert re.search(r"numerical failure: step \d+: ", capsys.readouterr().err)
+        assert not (out / "final.json").exists()
 
 
 class TestBootstrap:

@@ -8,7 +8,12 @@ the classmethod ``RunContext.from_config``; ``model.materialize`` and
 ``unitary_split``; ``oracle.eigendecompose`` and ``evolve_real``;
 ``measure.element_from_hadamard`` and ``hadamard_test``.  Installing it here
 makes a rename or removal fail the tests rather than a traced benchmark run.
+
+The tangent sweep's kernel rows are pinned too: with one bundle row per
+parameter slot, a call pushes O(stages * P) rows through the traced kernels,
+not O(gates^2).
 """
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,14 +24,43 @@ SCRIPT = """
 import sys
 sys.path[:0] = [{src!r}, {bench!r}]
 from child import Tracer, install
-install(Tracer(), True)
+tracer = Tracer()
+install(tracer, True)
+{extra}
+"""
+
+TANGENT_ROWS = """
+import json
+from quditgauge.ansatz import chain_circuit, plaquette_circuit
+from quditgauge.core import basis_state
+rows = []
+for circ in (chain_circuit(7, 3, "imag"), plaquette_circuit(5, "real", True)):
+    before = tracer.counts.get("core.kernel.rows", 0)
+    circ.tangents([0.1] * circ.num_params, basis_state(circ.num_qudits, 3, [1] * circ.num_qudits))
+    rows.append(tracer.counts["core.kernel.rows"] - before)
+print(json.dumps({"tangents": tracer.calls.get("ansatz.tangents", 0), "rows": rows}))
 """
 
 
-def test_tracer_installs_on_every_wrapped_function():
-    code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"))
+def run_traced(extra: str = "") -> subprocess.CompletedProcess:
+    code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"), extra=extra)
     # -B: write no bytecode next to the benchmark's files
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=60
     )
+
+
+def test_tracer_installs_on_every_wrapped_function():
+    proc = run_traced()
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tangent_sweep_rows_go_through_traced_kernels():
+    proc = run_traced(TANGENT_ROWS)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["tangents"] == 2
+    chain_rows, plaquette_rows = result["rows"]
+    # L=7 N=3 chain (81 gates, 33 slots), then the N=5 plaquette with the gate (185 gates and slots)
+    assert 0 < chain_rows <= 1000
+    assert 0 < plaquette_rows <= 5000

@@ -11,6 +11,7 @@ from quditgauge.model import chain_hamiltonian, materialize
 from quditgauge.oracle import Spectrum, finite_difference
 from quditgauge.varsim import (
     RunContext,
+    _checked_flow,
     energy_gradient,
     exact_eom,
     integrate_step,
@@ -318,6 +319,30 @@ class TestGroundSearch:
         # no candidate was halved, so each step made one candidate
         assert [r.time for r in recs] == pytest.approx(dt * np.arange(steps + 1))
         assert calls == {"tangents": steps + 1, "state": steps}
+
+
+class TestNonFiniteFlow:
+    @pytest.mark.parametrize("field", ["m", "v"])
+    def test_non_finite_eom_names_the_step(self, field):
+        circ = chain_circuit(3, 1, "imag")
+
+        def est(theta, kind):
+            eom = exact_eom(circ, theta, None, vacuum(3), kind)
+            bad = getattr(eom, field).copy()
+            bad.flat[0] = np.nan
+            return dataclasses.replace(eom, **{field: bad})
+
+        ev = EvolutionConfig(mode="vite")
+        with pytest.raises(RuntimeError, match="step 4: non-finite"):
+            _checked_flow(est, np.zeros(circ.num_params), "imag", -0.5, ev, 4)
+
+    def test_non_finite_theta_names_the_step(self):
+        def est(theta, kind):
+            raise AssertionError("the EOM ran on non-finite parameters")
+
+        theta = np.array([0.0, np.inf])
+        with pytest.raises(RuntimeError, match="step 2: non-finite parameters"):
+            _checked_flow(est, theta, "real", 0.5, EvolutionConfig(mode="vrte"), 2)
 
 
 class TestQuench:
