@@ -57,37 +57,46 @@ class Gate:
 
 @dataclass(frozen=True)
 class Stage:
-    """A maximal run of consecutive gates on the same targets, applied as one matrix.
-
-    ``rows[k]`` is the tangent-bundle row of gate k's slot; ``active`` counts
-    the bundle rows already in use when the stage starts.
-    """
+    """A maximal run of consecutive gates on the same targets, applied as one matrix."""
 
     gates: tuple[Gate, ...]
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rows: tuple[int, ...]
-    active: int
 
-    def unitary(self, theta: np.ndarray) -> np.ndarray:
-        """U = M_K ... M_1 of the stage's gates."""
-        u = self.gates[0].matrix(theta[self.gates[0].slot])
-        for g in self.gates[1:]:
-            u = g.matrix(theta[g.slot]) @ u
-        return u
-
-    def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """U and, for each gate k, D_k = (M_K ... M_{k+1}) (-i G_k) (M_k ... M_1)."""
+    def derivatives(
+        self, theta: np.ndarray, inserts: Sequence[tuple[int, np.ndarray]]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """U = M_K ... M_1 and, for each (k, O) in ``inserts``, (M_K ... M_{k+1}) O (M_k ... M_1)."""
         mats = [g.matrix(theta[g.slot]) for g in self.gates]
         prefix = [mats[0]]
         for m in mats[1:]:
             prefix.append(m @ prefix[-1])
+        suffix = [None] * len(mats)  # M_K ... M_{k+1}; None while it is the identity
+        if inserts:
+            for k in range(len(mats) - 2, -1, -1):
+                after = suffix[k + 1]
+                suffix[k] = mats[k + 1] if after is None else after @ mats[k + 1]
         ders = []
-        suffix = None  # M_K ... M_{k+1}; None while it is the identity
-        for k in range(len(mats) - 1, -1, -1):
-            der = -1.0j * (self.gates[k].generator.matrix @ prefix[k])
-            ders.append(der if suffix is None else suffix @ der)
-            suffix = mats[k] if suffix is None else suffix @ mats[k]
-        return prefix[-1], ders[::-1]
+        for k, op in inserts:
+            der = op @ prefix[k]
+            ders.append(der if suffix[k] is None else suffix[k] @ der)
+        return prefix[-1], ders
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """Local matrices inserted after gates, each feeding one bundle row of a sweep.
+
+    ``inserts[s]`` lists (k, O) for stage s: O goes in after the stage's
+    gate k and feeds bundle row ``rows[s][i]``, i its place in the list.
+    Rows are numbered in the order insertions first touch them;
+    ``active[s]`` counts the rows in use when stage s starts, and
+    ``order[key]`` is the row of key ``key``.
+    """
+
+    inserts: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    active: tuple[int, ...]
+    order: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,59 +132,75 @@ class Circuit:
 
     @cached_property
     def stages(self) -> tuple[Stage, ...]:
-        """The stage plan, built on first use.
+        """The stage plan, built on first use."""
+        return tuple(
+            Stage(tuple(run), core.batch_kernel(self.num_qudits, self.local_dim, targets))
+            for targets, run in groupby(self.gates, key=lambda g: g.targets)
+        )
 
-        Slots get tangent-bundle rows in the order the gates first touch them.
+    def row_plan(self, ops: Sequence[Sequence[tuple[int, np.ndarray]]]) -> RowPlan:
+        """Plan a sweep that inserts each (key, O) of ``ops[p]`` after gate p.
+
+        Keys must be 0 .. R-1; they get bundle rows in the order the
+        insertions first touch them.
         """
-        rows: dict[int, int] = {}
-        stages = []
-        for targets, run in groupby(self.gates, key=lambda g: g.targets):
-            run = tuple(run)
-            active = len(rows)
-            for g in run:
-                rows.setdefault(g.slot, len(rows))
-            kernel = core.batch_kernel(self.num_qudits, self.local_dim, targets)
-            stages.append(Stage(run, kernel, tuple(rows[g.slot] for g in run), active))
-        return tuple(stages)
+        row_of: dict[int, int] = {}
+        inserts, rows, active = [], [], []
+        p = 0
+        for st in self.stages:
+            active.append(len(row_of))
+            here = [(k, key, op) for k in range(len(st.gates)) for key, op in ops[p + k]]
+            inserts.append(tuple((k, op) for k, _, op in here))
+            rows.append(tuple(row_of.setdefault(key, len(row_of)) for _, key, _ in here))
+            p += len(st.gates)
+        order = np.empty(len(row_of), dtype=np.intp)
+        for key, row in row_of.items():
+            order[key] = row
+        return RowPlan(tuple(inserts), tuple(rows), tuple(active), order)
 
     @cached_property
-    def _slot_rows(self) -> np.ndarray:
-        """Tangent-bundle row of each slot."""
-        rows = np.empty(self.num_params, dtype=np.intp)
-        for st in self.stages:
-            for g, row in zip(st.gates, st.rows):
-                rows[g.slot] = row
-        return rows
+    def tangent_plan(self) -> RowPlan:
+        """-iG inserted after every gate, one bundle row per parameter slot."""
+        return self.row_plan([[(g.slot, -1.0j * g.generator.matrix)] for g in self.gates])
 
-    def state(self, theta: Sequence[float], psi0: QuditRegister) -> QuditRegister:
-        theta = self._check_theta(theta)
-        rows = psi0.amplitudes.reshape(1, -1)
-        for st in self.stages:
-            rows = st.kernel(rows, st.unitary(theta))
-        return QuditRegister(psi0.num_qudits, self.local_dim, rows.reshape(-1), psi0.has_ancilla)
+    def sweep(self, theta: Sequence[float], psi0: QuditRegister, plan: RowPlan | None = None):
+        """State and every row of ``plan`` in one pass over the stages.
 
-    def tangents(self, theta: Sequence[float], psi0: QuditRegister):
-        """State and all tangent vectors in one batched sweep.
-
-        Returns (psi, T) where T[:, mu] = d|psi>/d theta_mu, the sum over the
-        gates sharing slot mu of the product rule.  The bundle holds one row
-        per slot: each stage pushes the rows already in use through its
-        unitary once, then adds D_k applied to the state before the stage
-        into the row of gate k's slot, so the cost is one pass over the
-        stages with at most P rows in flight.
+        Returns (psi, rows) where rows[key] sums, over the insertions with
+        that key, the circuit run from psi0 with O inserted after its gate.
+        Each stage pushes the rows already in use through its unitary once,
+        then adds each inserted D applied to the state before the stage into
+        its row, so at most R rows are in flight.  With no plan, rows is empty.
         """
         theta = self._check_theta(theta)
-        bundle = np.zeros((self.num_params, psi0.dim), dtype=complex)
+        if plan is None:
+            plan = self._no_rows
+        bundle = np.zeros((plan.order.size, psi0.dim), dtype=complex)
         phi = psi0.amplitudes.reshape(1, -1)
-        for st in self.stages:
-            u, ders = st.derivatives(theta)
-            if st.active:
-                bundle[: st.active] = st.kernel(bundle[: st.active], u)
-            for row, der in zip(st.rows, ders):
+        for st, inserts, rows, active in zip(self.stages, plan.inserts, plan.rows, plan.active):
+            u, ders = st.derivatives(theta, inserts)
+            if active:
+                bundle[:active] = st.kernel(bundle[:active], u)
+            for row, der in zip(rows, ders):
                 bundle[row] += st.kernel(phi, der)[0]
             phi = st.kernel(phi, u)
-        state = QuditRegister(psi0.num_qudits, self.local_dim, phi.reshape(-1), psi0.has_ancilla)
-        return state, np.ascontiguousarray(bundle[self._slot_rows].T)
+        return QuditRegister(psi0.num_qudits, self.local_dim, phi.reshape(-1)), bundle[plan.order]
+
+    @cached_property
+    def _no_rows(self) -> RowPlan:
+        return self.row_plan([()] * len(self.gates))
+
+    def state(self, theta: Sequence[float], psi0: QuditRegister) -> QuditRegister:
+        return self.sweep(theta, psi0)[0]
+
+    def tangents(self, theta: Sequence[float], psi0: QuditRegister):
+        """State and all tangent vectors in one sweep.
+
+        Returns (psi, T) where T[:, mu] = d|psi>/d theta_mu, the sum over the
+        gates sharing slot mu of the product rule.
+        """
+        psi, rows = self.sweep(theta, psi0, self.tangent_plan)
+        return psi, np.ascontiguousarray(rows.T)
 
     def describe(self) -> str:
         lines = [

@@ -203,6 +203,10 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     def track(route: str, dev: float):
         max_dev[route] = max(max_dev[route], dev)
 
+    def pieces_of(mu: int) -> int:
+        # each gate generator of the slot splits into u and u^dag
+        return 2 * len(circuit.slot_positions(mu))
+
     for mu in range(npar):
         for nu in range(mu, npar):
             ex = exact.m[mu, nu]
@@ -210,9 +214,7 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
             ha = measure.element_from_hadamard("M", circuit, theta, mu, nu, None, psi0)
             sh_s = measure.metric_from_shifts(circuit, theta, mu, nu, psi0, shots, seed)
             ha_s = measure.element_from_hadamard("M", circuit, theta, mu, nu, None, psi0, shots, seed)
-            ntests = len(measure.slot_unitary_pieces(circuit, mu)) * len(
-                measure.slot_unitary_pieces(circuit, nu)
-            )
+            ntests = pieces_of(mu) * pieces_of(nu)
             rows.append([0, mu, nu, ex, sh, ha, sh_s, ha_s, ntests])
             track("shift", abs(sh - ex))
             track("hadamard", abs(ha - ex))
@@ -222,7 +224,7 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
         ha = measure.element_from_hadamard("VI", circuit, theta, mu, None, pieces, psi0)
         sh_s = measure.gradient_from_shifts(circuit, theta, mu, ctx.spectrum, psi0, shots, seed)
         ha_s = measure.element_from_hadamard("VI", circuit, theta, mu, None, pieces, psi0, shots, seed)
-        ntests = len(measure.slot_unitary_pieces(circuit, mu)) * len(pieces)
+        ntests = pieces_of(mu) * len(pieces)
         rows.append([1, mu, -1, ex, sh, ha, sh_s, ha_s, ntests])
         track("shift", abs(sh - ex))
         track("hadamard", abs(ha - ex))
@@ -230,7 +232,7 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
         ex = v_real[mu]
         ha = measure.element_from_hadamard("VR", circuit, theta, mu, None, pieces, psi0)
         ha_s = measure.element_from_hadamard("VR", circuit, theta, mu, None, pieces, psi0, shots, seed)
-        ntests = len(measure.slot_unitary_pieces(circuit, mu)) * len(pieces)
+        ntests = pieces_of(mu) * len(pieces)
         rows.append([2, mu, -1, ex, float("nan"), ha, float("nan"), ha_s, ntests])
         track("hadamard", abs(ha - ex))
     _write_csv(out / "measure_check.csv", header, rows, cfg_hash, cfg.output.precision)

@@ -9,6 +9,10 @@ from pathlib import Path
 from typing import get_type_hints
 
 
+# Largest register the randomized estimator averages Haar-random unitaries over.
+RANDOMIZED_MAX_DIM = 81
+
+
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
@@ -167,6 +171,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("estimator.shots must be >= 1 when set")
     if est.samples < 1:
         raise ConfigError("estimator.samples must be positive")
+    if est.mode == "randomized" and m.local_dim**m.num_links > RANDOMIZED_MAX_DIM:
+        raise ConfigError(f"the randomized estimator is limited to dimension <= {RANDOMIZED_MAX_DIM}")
     if est.mode == "randomized" and cfg.evolution.mode == "vite":
         raise ConfigError("the randomized estimator only provides anticommutators (vrte)")
     if est.mode == "shift" and cfg.evolution.mode == "vrte":

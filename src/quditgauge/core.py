@@ -2,9 +2,6 @@
 
 Amplitude indexing is little-endian: qudit 0 varies fastest, so a basis
 state with levels (l_0, ..., l_{n-1}) sits at index sum_k l_k * d**k.
-An optional two-level ancilla (used by the Hadamard-test emulation)
-occupies the most significant factor, which keeps qudit indices stable
-when it is attached.
 """
 from __future__ import annotations
 
@@ -33,10 +30,9 @@ class QuditRegister:
     num_qudits: int
     local_dim: int
     amplitudes: np.ndarray
-    has_ancilla: bool = False
 
     def __post_init__(self):
-        expected = self.local_dim**self.num_qudits * (2 if self.has_ancilla else 1)
+        expected = self.local_dim**self.num_qudits
         if self.amplitudes.shape != (expected,):
             raise ValueError(
                 f"amplitude vector has length {self.amplitudes.shape}, expected ({expected},)"
@@ -53,13 +49,12 @@ class QuditRegister:
         return replace(self, amplitudes=self.amplitudes.copy())
 
     def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per subsystem, qudit 0 last."""
-        shape = ((2,) if self.has_ancilla else ()) + (self.local_dim,) * self.num_qudits
-        return self.amplitudes.reshape(shape)
+        """Amplitudes reshaped to one axis per qudit, qudit 0 last."""
+        return self.amplitudes.reshape((self.local_dim,) * self.num_qudits)
 
     def qudit_axis(self, q: int) -> int:
         # C-order reshape puts the fastest-varying (qudit 0) index last.
-        return self.num_qudits - 1 - q + (1 if self.has_ancilla else 0)
+        return self.num_qudits - 1 - q
 
 
 @dataclass(frozen=True)
@@ -308,23 +303,8 @@ def apply(state: QuditRegister, op: LocalOperator) -> QuditRegister:
         if not 0 <= t < state.num_qudits:
             raise ValueError(f"target qudit {t} out of range for {state.num_qudits} qudits")
     kernel = batch_kernel(state.num_qudits, state.local_dim, op.targets)
-    if state.has_ancilla:
-        rows = state.amplitudes.reshape(2, -1)
-    else:
-        rows = state.amplitudes.reshape(1, -1)
-    out = kernel(rows, op.matrix)
+    out = kernel(state.amplitudes.reshape(1, -1), op.matrix)
     return replace(state, amplitudes=out.reshape(-1))
-
-
-def apply_controlled(state: QuditRegister, op: LocalOperator) -> QuditRegister:
-    """Apply ``op`` on the branch where the attached ancilla is |1>."""
-    if not state.has_ancilla:
-        raise ValueError("register has no ancilla")
-    amps = state.amplitudes.copy()
-    half = state.local_dim**state.num_qudits
-    sub = QuditRegister(state.num_qudits, state.local_dim, amps[half:])
-    amps[half:] = apply(sub, op).amplitudes
-    return replace(state, amplitudes=amps)
 
 
 def inner(a: QuditRegister, b: QuditRegister) -> complex:
@@ -341,8 +321,6 @@ def fidelity(a: QuditRegister, b: QuditRegister) -> float:
 def reduced_density_matrix(state: QuditRegister, subset: Sequence[int]) -> DensityMatrix:
     """Trace out the complement of ``subset``."""
     subset = tuple(sorted(set(subset)))
-    if state.has_ancilla:
-        raise ValueError("partial trace with an attached ancilla is not supported")
     if not subset or len(subset) >= state.num_qudits:
         raise ValueError(f"subset must be nonempty and proper, got {subset}")
     if subset[0] < 0 or subset[-1] >= state.num_qudits:
@@ -374,16 +352,6 @@ def sample_counts(state: QuditRegister, shots: int, rng_seed: int) -> np.ndarray
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     return rng.multinomial(shots, probs)
-
-
-def attach_ancilla(state: QuditRegister, alpha: float = 0.0) -> QuditRegister:
-    """Append a two-level ancilla prepared in (|0> + e^{i alpha} |1>)/sqrt(2)."""
-    if state.has_ancilla:
-        raise ValueError("register already has an ancilla")
-    amps = np.concatenate(
-        [state.amplitudes / np.sqrt(2.0), np.exp(1.0j * alpha) * state.amplitudes / np.sqrt(2.0)]
-    )
-    return QuditRegister(state.num_qudits, state.local_dim, amps, has_ancilla=True)
 
 
 def hermitian_expm(a: np.ndarray, factor: complex) -> np.ndarray:

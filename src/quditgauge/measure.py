@@ -5,9 +5,13 @@ Three routes are provided besides exact linear algebra:
 * overlap/parameter-shift: circuit observables are finite Fourier sums in a
   parameter shift; sampling them on a full-rank point set and solving the
   linear system gives analytical derivatives at zero shift.
-* ancilla Hadamard tests: matrix and vector elements are (anti-)commutator
-  expectations of Heisenberg-conjugated generators, assembled from four
-  tests per unitary pair (phase 0 for anticommutators, pi/2 for commutators).
+* Hadamard tests: matrix and vector elements are (anti-)commutator
+  expectations of Heisenberg-conjugated generators.  Each generator is
+  split as c (u + u^dag) with u unitary, so an element sums tests on words
+  of two unitary pieces (phase 0 for anticommutators, pi/2 for
+  commutators).  No ancilla is simulated: one stage sweep per theta inserts
+  u_p and u_p^dag after every gate p, each noiseless word <W> is an overlap
+  of the sweep's rows, and the test reads P(+) = (1 + Re e^{i alpha} <W>)/2.
 * global random unitaries: the connected anticommutator from second and
   third moments of Haar-random expectation values.
 
@@ -22,15 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import Circuit
-from .core import (
-    LocalOperator,
-    QuditRegister,
-    apply,
-    apply_controlled,
-    attach_ancilla,
-    lift_operator,
-)
+from .ansatz import Circuit, RowPlan
+from .config import RANDOMIZED_MAX_DIM
+from .core import LocalOperator, QuditRegister, apply, inner, lift_operator
 from .model import hamiltonian_unitary_pieces, unitary_split
 from .oracle import Spectrum
 
@@ -53,8 +51,8 @@ def _shifted(theta: np.ndarray, mu: int, a: float) -> np.ndarray:
     return out
 
 
-def _maybe_binomial(p: float, shots: int | None, rng) -> float:
-    p = min(max(p, 0.0), 1.0)
+def _maybe_binomial(p, shots: int | None, rng):
+    p = np.clip(p, 0.0, 1.0)
     if shots is None:
         return p
     return rng.binomial(shots, p) / shots
@@ -253,6 +251,11 @@ def gradient_from_shifts(
     return fourier_derivative(plan, fit_fourier(plan, vals), 1)
 
 
+def _plus_probability(words, alpha: float):
+    """P(+) = (1 + Re(e^{i alpha} <W>))/2 of the Hadamard test on each word W."""
+    return (1.0 + (np.exp(1.0j * alpha) * words).real) / 2.0
+
+
 def hadamard_test(
     psi0: QuditRegister,
     steps: Sequence[tuple[LocalOperator, bool]],
@@ -262,21 +265,24 @@ def hadamard_test(
 ) -> float:
     """P(+) of the ancilla after the given (optionally controlled) word.
 
-    The ancilla starts in (|0> + e^{i alpha} |1>)/sqrt(2); for a word W the
-    outcome is P(+) = (1 + Re(e^{i alpha} <W>))/2.
+    The ancilla starts in (|0> + e^{i alpha} |1>)/sqrt(2).  Its |0> branch
+    runs the uncontrolled steps and its |1> branch every step; <W> is the
+    overlap of the two branches, and P(+) = (1 + Re(e^{i alpha} <W>))/2.
     """
-    state = attach_ancilla(psi0, alpha)
+    idle = word = psi0
     for op, controlled in steps:
-        if controlled:
-            if not op.is_unitary(1e-10):
-                raise ValueError("controlled operations must be unitary")
-            state = apply_controlled(state, op)
-        else:
-            state = apply(state, op)
-    half = state.local_dim**state.num_qudits
-    plus = (state.amplitudes[:half] + state.amplitudes[half:]) / np.sqrt(2.0)
-    p = float(np.linalg.norm(plus) ** 2)
-    return _maybe_binomial(p, shots, rng)
+        if not controlled:
+            idle = apply(idle, op)
+        elif not op.is_unitary(1e-10):
+            raise ValueError("controlled operations must be unitary")
+        word = apply(word, op)
+    return float(_maybe_binomial(_plus_probability(inner(idle, word), alpha), shots, rng))
+
+
+def _test_values(words: np.ndarray, alpha: float, shots, rng) -> np.ndarray:
+    """Re<W> (alpha = 0) or Im<W> (alpha = pi/2) of each word, as its Hadamard test reads it."""
+    p = _maybe_binomial(_plus_probability(words, alpha), shots, rng)
+    return 2.0 * p - 1.0 if alpha == 0.0 else 1.0 - 2.0 * p
 
 
 def _gate_ops(circuit: Circuit, theta) -> list[LocalOperator]:
@@ -285,51 +291,68 @@ def _gate_ops(circuit: Circuit, theta) -> list[LocalOperator]:
     return [LocalOperator(circuit.local_dim, g.targets, g.matrix(theta[g.slot])) for g in circuit.gates]
 
 
-def _word_steps(circuit: Circuit, theta, insertions):
-    """Step list realizing <O1~ O2~ ...> with each O conjugated up to its position.
+@dataclass(frozen=True)
+class _Words:
+    """Every noiseless Hadamard-test word at one theta, read off one stage sweep.
 
-    ``insertions`` is a list of (op, position) in operator order (leftmost
-    first); position p means conjugation by the first p gates.  The word is
-    evaluated right to left: run forward to the rightmost insertion, then
-    walk the circuit forward or backward between control points.
+    Gate p's generator is coefs[p] (u_p + u_p^dag); ``rows[2p]`` is the
+    circuit run with u_p inserted after gate p and ``rows[2p + 1]`` with
+    u_p^dag.  A word <psi0| A~^dag B~ |psi0> of pieces conjugated up to
+    their gates is then <row(A) | row(B)>, and a Hamiltonian piece h_b at
+    the end of the circuit has the row ``ham_rows[b]`` = h_b psi.
     """
-    gate_mats = _gate_ops(circuit, theta)
-    steps: list[tuple[LocalOperator, bool]] = []
-    ordered = list(reversed(insertions))  # rightmost factor acts first
-    cursor = 0
-    for op, pos in ordered:
-        if pos > cursor:
-            steps.extend((gate_mats[g], False) for g in range(cursor, pos))
-        elif pos < cursor:
-            steps.extend((gate_mats[g].dagger(), False) for g in range(cursor - 1, pos - 1, -1))
-        steps.append((op, True))
-        cursor = pos
-    return steps
+
+    psi: QuditRegister
+    coefs: np.ndarray
+    rows: np.ndarray
+    ham_coefs: np.ndarray
+    ham_rows: np.ndarray
 
 
-def _word_component(circuit, theta, psi0, insertions, alpha, shots, rng) -> float:
-    p = hadamard_test(psi0, _word_steps(circuit, theta, insertions), alpha, shots, rng)
-    if alpha == 0.0:
-        return 2.0 * p - 1.0  # Re<W>
-    return 1.0 - 2.0 * p  # Im<W>
+def _hadamard_plan(circuit: Circuit) -> tuple[np.ndarray, RowPlan]:
+    """Piece coefficient of every gate and the sweep that inserts u_p and u_p^dag."""
+    coefs, ops = [], []
+    for p, g in enumerate(circuit.gates):
+        split = unitary_split(g.generator)
+        u = split.unitary.matrix
+        coefs.append(split.norm / 2.0)
+        ops.append(((2 * p, u), (2 * p + 1, u.conj().T)))
+    return np.array(coefs), circuit.row_plan(ops)
 
 
-def slot_unitary_pieces(circuit: Circuit, mu: int) -> list[tuple[float, LocalOperator, int]]:
-    """Weighted unitaries (with insertion positions) summing to the slot generator."""
-    pieces = []
-    for pos in circuit.slot_positions(mu):
-        gen = circuit.gates[pos].generator
-        split = unitary_split(gen)
-        pieces.append((split.norm / 2.0, split.unitary, pos + 1))
-        pieces.append((split.norm / 2.0, split.unitary.dagger(), pos + 1))
-    return pieces
+def _read_words(circuit, coefs, plan, theta, psi0, ham_pieces) -> _Words:
+    psi, rows = circuit.sweep(theta, psi0, plan)
+    ham_coefs = np.array([coef for coef, _ in ham_pieces])
+    ham_rows = np.array([apply(psi, op).amplitudes for _, op in ham_pieces])
+    return _Words(psi, coefs, rows, ham_coefs, ham_rows)
 
 
-def _single_expectation(circuit, theta, psi0, pieces, shots, rng) -> float:
-    total = 0.0
-    for coef, op, pos in pieces:
-        total += coef * _word_component(circuit, theta, psi0, [(op, pos)], 0.0, shots, rng)
-    return total
+def _slot_pieces(circuit: Circuit, coefs: np.ndarray, mu: int):
+    """Coefficient, row and dagger's row of each unitary piece of slot mu: u_p, then u_p^dag."""
+    pos = np.array(circuit.slot_positions(mu))
+    own = np.stack([2 * pos, 2 * pos + 1], axis=1).ravel()
+    return np.repeat(coefs[pos], 2), own, own ^ 1
+
+
+def _element(kind: str, circuit: Circuit, words: _Words, mu: int, nu, shots, seed) -> float:
+    """One element from its Hadamard tests, drawn in the order: pair words, then single words."""
+    rng = np.random.default_rng(seed) if shots is not None else None
+    c_left, own_left, dag_left = _slot_pieces(circuit, words.coefs, mu)
+    if kind == "M":
+        c_right, own_right, _ = _slot_pieces(circuit, words.coefs, nu)
+        right = words.rows[own_right]
+    else:
+        c_right, right = words.ham_coefs, words.ham_rows
+    alpha = np.pi / 2.0 if kind == "VI" else 0.0
+    pair_sum = c_left @ _test_values(words.rows[dag_left].conj() @ right.T, alpha, shots, rng) @ c_right
+    if kind == "VI":
+        return float(-2.0 * pair_sum)
+    bra = words.psi.amplitudes.conj()
+    single_left = c_left @ _test_values(words.rows[own_left] @ bra, 0.0, shots, rng)
+    single_right = c_right @ _test_values(right @ bra, 0.0, shots, rng)
+    if kind == "M":
+        return float(pair_sum - single_left * single_right)
+    return float(2.0 * pair_sum - 2.0 * single_left * single_right)
 
 
 def element_from_hadamard(
@@ -349,36 +372,17 @@ def element_from_hadamard(
     kind 'VI': i <[G~_mu, H~]>_0
     kind 'VR': <{G~_mu, H~}>_0 - 2 <G~_mu>_0 <H~>_0
     """
-    rng = np.random.default_rng(seed) if shots is not None else None
-    left = slot_unitary_pieces(circuit, mu)
-    end = len(circuit.gates)
     if kind == "M":
         if nu is None:
             raise ValueError("metric elements need two slot indices")
-        right = slot_unitary_pieces(circuit, nu)
     elif kind in ("VI", "VR"):
         if ham_pieces is None:
             raise ValueError("vector elements need the Hamiltonian as unitaries")
-        right = [(coef, op, end) for coef, op in ham_pieces]
     else:
         raise ValueError(f"unknown element kind {kind!r}")
-
-    alpha = np.pi / 2.0 if kind == "VI" else 0.0
-    pair_sum = 0.0
-    for c1, u1, p1 in left:
-        for c2, u2, p2 in right:
-            pair_sum += c1 * c2 * _word_component(
-                circuit, theta, psi0, [(u1, p1), (u2, p2)], alpha, shots, rng
-            )
-    if kind == "VI":
-        return -2.0 * pair_sum
-    if kind == "M":
-        return pair_sum - _single_expectation(circuit, theta, psi0, left, shots, rng) * (
-            _single_expectation(circuit, theta, psi0, right, shots, rng)
-        )
-    single_mu = _single_expectation(circuit, theta, psi0, left, shots, rng)
-    single_h = _single_expectation(circuit, theta, psi0, right, shots, rng)
-    return 2.0 * pair_sum - 2.0 * single_mu * single_h
+    coefs, plan = _hadamard_plan(circuit)
+    words = _read_words(circuit, coefs, plan, theta, psi0, ham_pieces or ())
+    return _element(kind, circuit, words, mu, nu, shots, seed)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -402,8 +406,8 @@ def randomized_connected_anticommutator(
     terms and the connected correction are subtracted exactly.
     """
     dim = a.shape[0]
-    if dim > 81:
-        raise ValueError("randomized estimation is limited to dimension <= 81")
+    if dim > RANDOMIZED_MAX_DIM:
+        raise ValueError(f"randomized estimation is limited to dimension <= {RANDOMIZED_MAX_DIM}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     acc = 0.0
@@ -458,8 +462,7 @@ def make_estimator(est_cfg, ctx):
         counter["step"] += 1
         return int(np.random.SeedSequence([est_cfg.seed, counter["step"]]).generate_state(1)[0])
 
-    def _pack(theta, m, v):
-        psi = circuit.state(theta, psi0)
+    def _pack(psi, m, v):
         amp = psi.amplitudes
         return EomQuantities(m, v, psi, float(np.vdot(amp, ctx.ham @ amp).real))
 
@@ -475,32 +478,27 @@ def make_estimator(est_cfg, ctx):
                     for mu in range(circuit.num_params)
                 ]
             )
-            return _pack(theta, m, v)
+            return _pack(circuit.state(theta, psi0), m, v)
 
         return est
 
     if est_cfg.mode == "hadamard":
         pieces = hamiltonian_unitary_pieces(ctx.ham_spec)
+        coefs, plan = _hadamard_plan(circuit)
 
         def est(theta, kind):
             seed = _seed() if est_cfg.shots is not None else 0
+            words = _read_words(circuit, coefs, plan, theta, psi0, pieces)
             npar = circuit.num_params
             m = np.zeros((npar, npar))
             for mu in range(npar):
                 for nu in range(mu, npar):
-                    m[mu, nu] = m[nu, mu] = element_from_hadamard(
-                        "M", circuit, theta, mu, nu, None, psi0, est_cfg.shots, seed
-                    )
+                    m[mu, nu] = m[nu, mu] = _element("M", circuit, words, mu, nu, est_cfg.shots, seed)
             label = "VI" if kind == "imag" else "VR"
             v = np.array(
-                [
-                    element_from_hadamard(
-                        label, circuit, theta, mu, None, pieces, psi0, est_cfg.shots, seed
-                    )
-                    for mu in range(npar)
-                ]
+                [_element(label, circuit, words, mu, None, est_cfg.shots, seed) for mu in range(npar)]
             )
-            return _pack(theta, m, v)
+            return _pack(words.psi, m, v)
 
         return est
 
@@ -526,7 +524,7 @@ def make_estimator(est_cfg, ctx):
                     for mu in range(npar)
                 ]
             )
-            return _pack(theta, m, v)
+            return _pack(circuit.state(theta, psi0), m, v)
 
         return est
 

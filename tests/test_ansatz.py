@@ -182,8 +182,13 @@ class TestStagePlan:
         circ = hand_built_circuit()
         assert [st.gates[0].targets for st in circ.stages] == [(1,), (2,), (1,), (0, 1), (2, 0), (0,)]
         assert [len(st.gates) for st in circ.stages] == [2, 1, 1, 1, 1, 2]
-        assert [st.rows for st in circ.stages] == [(0, 1), (2,), (0,), (3,), (4,), (5, 5)]
-        assert [st.active for st in circ.stages] == [0, 2, 3, 3, 4, 5]
+        plan = circ.tangent_plan
+        assert list(plan.rows) == [(0, 1), (2,), (0,), (3,), (4,), (5, 5)]
+        assert [tuple(k for k, _ in ins) for ins in plan.inserts] == [
+            (0, 1), (0,), (0,), (0,), (0,), (0, 1)
+        ]
+        assert list(plan.active) == [0, 2, 3, 3, 4, 5]
+        assert list(plan.order) == [1, 3, 0, 4, 2, 5]
 
     def test_chain_fuses_each_rotation_block(self):
         # per layer: one 3-gate stage per link and one stage per MS gate

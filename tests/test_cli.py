@@ -75,6 +75,20 @@ class TestGroundCommand:
         assert t1 == t2
         assert (out1 / "final.json").read_bytes() == (out2 / "final.json").read_bytes()
 
+    def test_seeded_hadamard_shots_reproduce(self, tmp_path):
+        data = {
+            "model": {"dimension": 1, "num_links": 3},
+            "ansatz": {"family": "chain", "layers": 1, "init_seed": 2},
+            "evolution": {"mode": "vite", "dt": 0.05, "steps": 4},
+            "estimator": {"mode": "hadamard", "shots": 500, "seed": 9},
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main(["ground", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for name in ("trajectory.csv", "final.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_csv_structure_and_roundtrip(self, tmp_path):
         cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
         out = tmp_path / "o"
@@ -241,6 +255,25 @@ class TestErrorPaths:
         data = {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 1}}
         cfg_path = write_config(tmp_path, "c.json", data)
         assert main(["measure-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+    def test_randomized_dimension_limit_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        from quditgauge import model, varsim
+
+        def refuse(ham):
+            raise AssertionError("materialize called")
+
+        monkeypatch.setattr(model, "materialize", refuse)
+        monkeypatch.setattr(varsim, "materialize", refuse)
+        data = {
+            "model": {"dimension": 1, "num_links": 5},
+            "ansatz": {"family": "chain", "layers": 1},
+            "evolution": {"mode": "vrte", "steps": 2},
+            "estimator": {"mode": "randomized"},
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        assert main(["quench", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "dimension <= 81" in capsys.readouterr().err
 
 
 class TestNumericalFailure:

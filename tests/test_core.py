@@ -5,7 +5,6 @@ import pytest
 from quditgauge.core import (
     LocalOperator,
     apply,
-    attach_ancilla,
     basis_state,
     crot_gate,
     embedded_pauli,
@@ -349,11 +348,3 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(basis_state(1, 3, [0]), 0, rng_seed=0)
 
-
-class TestAncilla:
-    def test_attach_shape_and_phase(self):
-        s = basis_state(1, 3, [1])
-        anc = attach_ancilla(s, alpha=np.pi / 2)
-        assert anc.dim == 6 and anc.has_ancilla
-        assert anc.amplitudes[1] == pytest.approx(1 / np.sqrt(2))
-        assert anc.amplitudes[4] == pytest.approx(1j / np.sqrt(2))

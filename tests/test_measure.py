@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from quditgauge.ansatz import chain_circuit, plaquette_circuit
-from quditgauge.core import LocalOperator, basis_state, embedded_pauli
+from quditgauge import measure
+from quditgauge.ansatz import Circuit, chain_circuit, plaquette_circuit
+from quditgauge.config import parse_config
+from quditgauge.core import LocalOperator, QuditRegister, basis_state, embedded_pauli
 from quditgauge.measure import (
     element_from_hadamard,
     fit_fourier,
@@ -17,18 +19,19 @@ from quditgauge.measure import (
     randomized_connected_anticommutator,
     shift_overlap,
     shift_overlap_pair,
-    slot_unitary_pieces,
 )
 from quditgauge.model import (
     chain_hamiltonian,
     hamiltonian_unitary_pieces,
     materialize,
     plaquette_hamiltonian,
+    unitary_split,
 )
 from quditgauge.oracle import eigendecompose
-from quditgauge.varsim import energy_gradient, metric_tensor, real_time_vector
+from quditgauge.varsim import RunContext, energy_gradient, exact_eom, metric_tensor, real_time_vector
 
-from helpers import random_state
+from helpers import kron_lift, random_hermitian, random_state
+from test_ansatz import hand_built_circuit
 
 
 def vacuum(n):
@@ -333,6 +336,75 @@ class TestElementFromHadamard:
         got_r = element_from_hadamard("VR", circ, theta, 0, None, pieces, reg)
         assert got_r == pytest.approx(want_anti, abs=1e-10)
 
+    def test_insertions_inside_fused_stages(self):
+        # slot 2 spans two stages, slot 5 repeats inside one, the CROT is
+        # non-adjacent, and the Hamiltonian piece sits on qudits (2, 0)
+        circ = hand_built_circuit()
+        rng = np.random.default_rng(42)
+        psi0 = QuditRegister(3, 3, random_state(27, rng))
+        h = LocalOperator(3, (2, 0), random_hermitian(9, rng), hermitian=True)
+        split = unitary_split(h)
+        pieces = [(split.norm / 2, split.unitary), (split.norm / 2, split.unitary.dagger())]
+        ham = kron_lift(h.matrix, h.targets, 3, 3)
+        theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+        imag = exact_eom(circ, theta, ham, psi0, "imag")
+        real = exact_eom(circ, theta, ham, psi0, "real")
+        for mu in range(circ.num_params):
+            for nu in range(mu, circ.num_params):
+                got = element_from_hadamard("M", circ, theta, mu, nu, None, psi0)
+                assert abs(got - imag.m[mu, nu]) < 1e-12, (mu, nu)
+            got_i = element_from_hadamard("VI", circ, theta, mu, None, pieces, psi0)
+            got_r = element_from_hadamard("VR", circ, theta, mu, None, pieces, psi0)
+            assert abs(got_i - imag.v[mu]) < 1e-12, mu
+            assert abs(got_r - real.v[mu]) < 1e-12, mu
+
+    def test_shot_mean_within_three_standard_errors(self, small_chain):
+        circ, _, psi0 = small_chain
+        theta = np.random.default_rng(43).uniform(-np.pi, np.pi, circ.num_params)
+        exact = metric_tensor(circ, theta, psi0)[4, 5]  # two gates per slot: 16 pair words
+        draws = np.array(
+            [element_from_hadamard("M", circ, theta, 4, 5, None, psi0, shots=2000, seed=s) for s in range(200)]
+        )
+        se = draws.std(ddof=1) / np.sqrt(len(draws))
+        assert se < abs(exact) / 10
+        assert abs(draws.mean() - exact) < 3 * se
+
+
+class TestHadamardEstimator:
+    def test_one_sweep_and_no_state_per_call(self, monkeypatch):
+        cfg = parse_config(
+            {
+                "model": {"dimension": 1, "num_links": 3},
+                "ansatz": {"family": "chain", "layers": 1},
+                "estimator": {"mode": "hadamard"},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        calls = {"sweep": 0, "state": 0}
+
+        def counted(name):
+            original = getattr(Circuit, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Circuit, "sweep", counted("sweep"))
+        monkeypatch.setattr(Circuit, "state", counted("state"))
+        est = measure.make_estimator(cfg.estimator, ctx)
+        theta = np.random.default_rng(44).uniform(-1, 1, ctx.circuit.num_params)
+        for kind in ("imag", "real"):
+            before = dict(calls)
+            eom = est(theta, kind)
+            assert calls["sweep"] - before["sweep"] == 1, kind
+            assert calls["state"] == 0, kind
+            exact = exact_eom(ctx.circuit, theta, ctx.ham, ctx.psi0, kind)
+            assert np.max(np.abs(eom.m - exact.m)) < 1e-12
+            assert np.max(np.abs(eom.v - exact.v)) < 1e-12
+            assert np.max(np.abs(eom.psi.amplitudes - exact.psi.amplitudes)) < 1e-14
+
 
 class TestRandomized:
     def test_commuting_diagonal_mean(self):
@@ -354,6 +426,33 @@ class TestRandomized:
         )
         se = trials.std(ddof=1) / np.sqrt(len(trials))
         assert abs(trials.mean() - want) < 3 * se
+
+    def test_has_power_to_reject_a_biased_estimator(self):
+        # small dimension and many samples: the standard error is a small
+        # fraction of the exact value, so a 20 % bias fails the same bound
+        rng = np.random.default_rng(56)
+        a = random_hermitian(3, rng)
+        b = random_hermitian(3, rng)
+        psi0 = random_state(3, rng)
+        want = (
+            np.vdot(psi0, (a @ b + b @ a) @ psi0).real
+            - 2 * np.vdot(psi0, a @ psi0).real * np.vdot(psi0, b @ psi0).real
+        )
+        trials = np.array(
+            [
+                randomized_connected_anticommutator(a, b, psi0, 256, np.random.default_rng(s))
+                for s in range(200)
+            ]
+        )
+
+        def within_three_se(values):
+            se = values.std(ddof=1) / np.sqrt(len(values))
+            return abs(values.mean() - want) < 3 * se
+
+        se = trials.std(ddof=1) / np.sqrt(len(trials))
+        assert se < abs(want) / 10
+        assert within_three_se(trials)
+        assert not within_three_se(1.2 * trials)
 
     def test_zero_operator(self):
         rng = np.random.default_rng(26)

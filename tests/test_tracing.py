@@ -11,7 +11,9 @@ makes a rename or removal fail the tests rather than a traced benchmark run.
 
 The tangent sweep's kernel rows are pinned too: with one bundle row per
 parameter slot, a call pushes O(stages * P) rows through the traced kernels,
-not O(gates^2).
+not O(gates^2).  So is the Hadamard route: one estimator call on the
+benchmark's L=3 N=1 chain runs its stage sweep through the traced kernels
+and calls no ``hadamard_test``, and the traced wrappers must accept it.
 """
 import json
 import subprocess
@@ -41,6 +43,25 @@ for circ in (chain_circuit(7, 3, "imag"), plaquette_circuit(5, "real", True)):
 print(json.dumps({"tangents": tracer.calls.get("ansatz.tangents", 0), "rows": rows}))
 """
 
+HADAMARD_EOM = """
+import json
+from quditgauge import measure
+from quditgauge.config import parse_config
+from quditgauge.varsim import RunContext
+cfg = parse_config({
+    "model": {"dimension": 1, "num_links": 3, "g": 1.0, "mass": 0.1},
+    "ansatz": {"family": "chain", "layers": 1, "init_seed": 1},
+    "estimator": {"mode": "hadamard"},
+})
+ctx = RunContext.from_config(cfg)
+eom = measure.make_estimator(cfg.estimator, ctx)([0.1] * ctx.circuit.num_params, "imag")
+print(json.dumps({
+    "params": int(eom.v.size),
+    "rows": tracer.counts.get("core.kernel.rows", 0),
+    "hadamard_tests": tracer.calls.get("measure.hadamard_test", 0),
+}))
+"""
+
 
 def run_traced(extra: str = "") -> subprocess.CompletedProcess:
     code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"), extra=extra)
@@ -64,3 +85,12 @@ def test_tangent_sweep_rows_go_through_traced_kernels():
     # L=7 N=3 chain (81 gates, 33 slots), then the N=5 plaquette with the gate (185 gates and slots)
     assert 0 < chain_rows <= 1000
     assert 0 < plaquette_rows <= 5000
+
+
+def test_hadamard_eom_sweeps_through_traced_kernels():
+    proc = run_traced(HADAMARD_EOM)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["params"] == 8
+    assert result["rows"] > 0
+    assert result["hadamard_tests"] == 0
