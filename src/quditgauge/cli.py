@@ -185,6 +185,11 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
 
     exact = varsim.exact_eom(circuit, theta, ctx.ham, psi0, "imag")
     v_real = varsim.real_time_vector(circuit, theta, ctx.ham, psi0)
+    route = measure.hadamard_plan(circuit)
+    _, sh_m, sh_v = measure.shift_eom(circuit, theta, psi0, ctx.spectrum)
+    _, sh_m_s, sh_v_s = measure.shift_eom(circuit, theta, psi0, ctx.spectrum, shots, seed)
+    _, ha_m, ha_v = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"))
+    _, ha_m_s, ha_v_s = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"), shots, seed)
     npar = circuit.num_params
     header = [
         "kind",
@@ -197,52 +202,33 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
         "hadamard_shots",
         "hadamard_tests",
     ]
-    rows: list[list[float]] = []
-    max_dev = {"shift": 0.0, "hadamard": 0.0}
+    # each gate generator of a slot splits into u and u^dag
+    tests = np.array([2 * len(circuit.slot_positions(mu)) for mu in range(npar)])
+    mus, nus = np.triu_indices(npar)
+    slots, nan = np.arange(npar), np.full(npar, np.nan)
 
-    def track(route: str, dev: float):
-        max_dev[route] = max(max_dev[route], dev)
+    def vector_rows(kind, *cols):
+        return np.column_stack([np.full(npar, kind), slots, np.full(npar, -1), *cols, tests * len(pieces)])
 
-    def pieces_of(mu: int) -> int:
-        # each gate generator of the slot splits into u and u^dag
-        return 2 * len(circuit.slot_positions(mu))
-
-    for mu in range(npar):
-        for nu in range(mu, npar):
-            ex = exact.m[mu, nu]
-            sh = measure.metric_from_shifts(circuit, theta, mu, nu, psi0)
-            ha = measure.element_from_hadamard("M", circuit, theta, mu, nu, None, psi0)
-            sh_s = measure.metric_from_shifts(circuit, theta, mu, nu, psi0, shots, seed)
-            ha_s = measure.element_from_hadamard("M", circuit, theta, mu, nu, None, psi0, shots, seed)
-            ntests = pieces_of(mu) * pieces_of(nu)
-            rows.append([0, mu, nu, ex, sh, ha, sh_s, ha_s, ntests])
-            track("shift", abs(sh - ex))
-            track("hadamard", abs(ha - ex))
-    for mu in range(npar):
-        ex = exact.v[mu]
-        sh = measure.gradient_from_shifts(circuit, theta, mu, ctx.spectrum, psi0)
-        ha = measure.element_from_hadamard("VI", circuit, theta, mu, None, pieces, psi0)
-        sh_s = measure.gradient_from_shifts(circuit, theta, mu, ctx.spectrum, psi0, shots, seed)
-        ha_s = measure.element_from_hadamard("VI", circuit, theta, mu, None, pieces, psi0, shots, seed)
-        ntests = pieces_of(mu) * len(pieces)
-        rows.append([1, mu, -1, ex, sh, ha, sh_s, ha_s, ntests])
-        track("shift", abs(sh - ex))
-        track("hadamard", abs(ha - ex))
-    for mu in range(npar):
-        ex = v_real[mu]
-        ha = measure.element_from_hadamard("VR", circuit, theta, mu, None, pieces, psi0)
-        ha_s = measure.element_from_hadamard("VR", circuit, theta, mu, None, pieces, psi0, shots, seed)
-        ntests = pieces_of(mu) * len(pieces)
-        rows.append([2, mu, -1, ex, float("nan"), ha, float("nan"), ha_s, ntests])
-        track("hadamard", abs(ha - ex))
+    rows = np.vstack(
+        [
+            np.column_stack(
+                [np.zeros_like(mus), mus, nus]
+                + [a[mus, nus] for a in (exact.m, sh_m, ha_m, sh_m_s, ha_m_s)]
+                + [tests[mus] * tests[nus]]
+            ),
+            vector_rows(1, exact.v, sh_v, ha_v[0], sh_v_s, ha_v_s[0]),
+            vector_rows(2, v_real, nan, ha_v[1], nan, ha_v_s[1]),
+        ]
+    )
     _write_csv(out / "measure_check.csv", header, rows, cfg_hash, cfg.output.precision)
     _write_json(
         out / "measure_summary.json",
         {
             "version": __version__,
             "config_hash": cfg_hash,
-            "max_abs_dev_shift": max_dev["shift"],
-            "max_abs_dev_hadamard": max_dev["hadamard"],
+            "max_abs_dev_shift": float(np.nanmax(np.abs(rows[:, 4] - rows[:, 3]))),
+            "max_abs_dev_hadamard": float(np.max(np.abs(rows[:, 5] - rows[:, 3]))),
             "shots": shots,
             "kinds": {"0": "M", "1": "VI", "2": "VR"},
         },

@@ -4,7 +4,9 @@ Three routes are provided besides exact linear algebra:
 
 * overlap/parameter-shift: circuit observables are finite Fourier sums in a
   parameter shift; sampling them on a full-rank point set and solving the
-  linear system gives analytical derivatives at zero shift.
+  linear system gives analytical derivatives at zero shift.  Each distinct
+  shifted state is simulated once per theta, and every overlap and energy
+  sample is read off that table.
 * Hadamard tests: matrix and vector elements are (anti-)commutator
   expectations of Heisenberg-conjugated generators.  Each generator is
   split as c (u + u^dag) with u unitary, so an element sums tests on words
@@ -13,7 +15,8 @@ Three routes are provided besides exact linear algebra:
   u_p and u_p^dag after every gate p, each noiseless word <W> is an overlap
   of the sweep's rows, and the test reads P(+) = (1 + Re e^{i alpha} <W>)/2.
 * global random unitaries: the connected anticommutator from second and
-  third moments of Haar-random expectation values.
+  third moments of Haar-random expectation values, over Heisenberg
+  generators read off one tangent sweep per basis state.
 
 All estimators accept an optional shot count; with shots set, every
 elementary probability is replaced by a binomial draw and every energy
@@ -28,7 +31,7 @@ import numpy as np
 
 from .ansatz import Circuit, RowPlan
 from .config import RANDOMIZED_MAX_DIM
-from .core import LocalOperator, QuditRegister, apply, inner, lift_operator
+from .core import LocalOperator, QuditRegister, apply, inner
 from .model import hamiltonian_unitary_pieces, unitary_split
 from .oracle import Spectrum
 
@@ -56,39 +59,6 @@ def _maybe_binomial(p, shots: int | None, rng):
     if shots is None:
         return p
     return rng.binomial(shots, p) / shots
-
-
-def shift_overlap(
-    circuit: Circuit,
-    theta,
-    mu: int,
-    a: float,
-    psi0: QuditRegister,
-    shots: int | None = None,
-    rng=None,
-) -> float:
-    """p_mu(a) = |<psi(theta + a e_mu)|psi(theta)>|^2."""
-    base = circuit.state(theta, psi0)
-    moved = circuit.state(_shifted(theta, mu, a), psi0)
-    p = abs(np.vdot(moved.amplitudes, base.amplitudes)) ** 2
-    return _maybe_binomial(p, shots, rng)
-
-
-def shift_overlap_pair(
-    circuit: Circuit,
-    theta,
-    mu: int,
-    nu: int,
-    a: float,
-    psi0: QuditRegister,
-    shots: int | None = None,
-    rng=None,
-) -> float:
-    """f_{mu nu}(a) = |<psi(theta + a e_mu)|psi(theta + a e_nu)>|^2."""
-    left = circuit.state(_shifted(theta, mu, a), psi0)
-    right = circuit.state(_shifted(theta, nu, a), psi0)
-    p = abs(np.vdot(left.amplitudes, right.amplitudes)) ** 2
-    return _maybe_binomial(p, shots, rng)
 
 
 def _dedupe(values: np.ndarray) -> np.ndarray:
@@ -170,85 +140,86 @@ def fourier_derivative(plan: ShiftPlan, coeffs: np.ndarray, order: int = 1) -> f
     return float(np.real(np.sum(coeffs * (1.0j * plan.frequencies) ** order)))
 
 
-def _fit_p_curvature(circuit, theta, mu, psi0, shots, rng, seed) -> float:
-    plan = plan_shifts(circuit, (mu,), seed=seed)
-    vals = [shift_overlap(circuit, theta, mu, a, psi0, shots, rng) for a in plan.points]
-    return fourier_derivative(plan, fit_fourier(plan, vals), 2)
+class ShiftTable:
+    """The states the shift route reads at one theta, each simulated once.
 
-
-def metric_from_shifts(
-    circuit: Circuit,
-    theta,
-    mu: int,
-    nu: int,
-    psi0: QuditRegister,
-    shots: int | None = None,
-    seed: int = 0,
-) -> float:
-    """One metric element from overlap curvatures.
-
-    Diagonal: M = -p''(0)/2.  Off-diagonal: M = [f'' - p_mu'' - p_nu'']/4.
-    The signs are pinned to the exact metric convention.
+    ``state(mu, a)`` is psi(theta + a e_mu); slot None or shift 0 is the
+    base state psi(theta).
     """
-    rng = np.random.default_rng(seed) if shots is not None else None
-    d2p_mu = _fit_p_curvature(circuit, theta, mu, psi0, shots, rng, seed)
-    if mu == nu:
-        return -0.5 * d2p_mu
-    d2p_nu = _fit_p_curvature(circuit, theta, nu, psi0, shots, rng, seed)
-    plan = plan_shifts(circuit, (mu, nu), seed=seed)
-    vals = [shift_overlap_pair(circuit, theta, mu, nu, a, psi0, shots, rng) for a in plan.points]
-    d2f = fourier_derivative(plan, fit_fourier(plan, vals), 2)
-    return 0.25 * (d2f - d2p_mu - d2p_nu)
+
+    def __init__(self, circuit: Circuit, theta, psi0: QuditRegister):
+        self.circuit, self.psi0 = circuit, psi0
+        self.theta = np.asarray(theta, dtype=float)
+        self.base = circuit.state(self.theta, psi0)
+        self._states: dict[tuple[int, float], np.ndarray] = {}
+
+    def state(self, mu: int | None, a: float) -> np.ndarray:
+        if mu is None or a == 0.0:
+            return self.base.amplitudes
+        key = (mu, float(a))
+        if key not in self._states:
+            self._states[key] = self.circuit.state(_shifted(self.theta, mu, a), self.psi0).amplitudes
+        return self._states[key]
+
+    def overlaps(self, mu: int, nu: int | None, points, shots: int | None = None, rng=None) -> np.ndarray:
+        """|<psi(theta + a e_mu)|psi(theta + a e_nu)>|^2 at each shift a, drawn in order with shots."""
+        p = np.array([abs(np.vdot(self.state(mu, a), self.state(nu, a))) ** 2 for a in points])
+        return _maybe_binomial(p, shots, rng)
+
+    def energies(self, mu: int, points, spectrum: Spectrum, shots: int | None = None, rng=None) -> list:
+        """<H> at theta + a e_mu for each shift a, or its mean over ``shots`` spectrum draws."""
+        vals = []
+        for a in points:
+            weights = np.abs(spectrum.eigenvectors.conj().T @ self.state(mu, a)) ** 2
+            if shots is None:
+                vals.append(float(np.sum(spectrum.eigenvalues * weights)))
+            else:
+                draws = rng.choice(spectrum.eigenvalues, size=shots, p=weights / weights.sum())
+                vals.append(float(np.mean(draws)))
+        return vals
 
 
-def metric_matrix_from_shifts(
+def shift_eom(
     circuit: Circuit,
     theta,
     psi0: QuditRegister,
+    spectrum: Spectrum,
     shots: int | None = None,
     seed: int = 0,
-) -> np.ndarray:
+) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
+    """State, metric and energy gradient from samples at shifted parameters.
+
+    The metric comes from overlap curvatures at zero shift: M_mumu =
+    -p_mu''/2 and M_munu = [f_munu'' - p_mu'' - p_nu'']/4, with p_mu the
+    overlap of psi(theta + a e_mu) with psi(theta) and f_munu that of
+    psi(theta + a e_mu) with psi(theta + a e_nu); dE/dtheta_mu is the
+    slope of the fitted energy curve.  Every sample reads one
+    ``ShiftTable``.  With shots, one generator draws the whole metric
+    (curvatures first, then the pairs row by row) and each gradient slot
+    draws from a fresh one.
+    """
+    table = ShiftTable(circuit, theta, psi0)
     npar = circuit.num_params
-    rng = np.random.default_rng(seed) if shots is not None else None
-    d2p = np.array([_fit_p_curvature(circuit, theta, mu, psi0, shots, rng, seed) for mu in range(npar)])
+
+    def fresh_rng():
+        return np.random.default_rng(seed) if shots is not None else None
+
+    def derivative(plan, samples, order):
+        return fourier_derivative(plan, fit_fourier(plan, samples), order)
+
+    rng = fresh_rng()
+    d2p, v = np.empty(npar), np.empty(npar)
+    for mu in range(npar):
+        plan = plan_shifts(circuit, (mu,), seed=seed)
+        d2p[mu] = derivative(plan, table.overlaps(mu, None, plan.points, shots, rng), 2)
+        v[mu] = derivative(plan, table.energies(mu, plan.points, spectrum, shots, fresh_rng()), 1)
     m = np.diag(-0.5 * d2p)
     for mu in range(npar):
         for nu in range(mu + 1, npar):
             plan = plan_shifts(circuit, (mu, nu), seed=seed)
-            vals = [
-                shift_overlap_pair(circuit, theta, mu, nu, a, psi0, shots, rng) for a in plan.points
-            ]
-            d2f = fourier_derivative(plan, fit_fourier(plan, vals), 2)
+            d2f = derivative(plan, table.overlaps(mu, nu, plan.points, shots, rng), 2)
             m[mu, nu] = m[nu, mu] = 0.25 * (d2f - d2p[mu] - d2p[nu])
-    return m
-
-
-def _energy_readout(psi: QuditRegister, spectrum: Spectrum, shots, rng) -> float:
-    weights = np.abs(spectrum.eigenvectors.conj().T @ psi.amplitudes) ** 2
-    if shots is None:
-        return float(np.sum(spectrum.eigenvalues * weights))
-    weights = weights / weights.sum()
-    draws = rng.choice(spectrum.eigenvalues, size=shots, p=weights)
-    return float(np.mean(draws))
-
-
-def gradient_from_shifts(
-    circuit: Circuit,
-    theta,
-    mu: int,
-    spectrum: Spectrum,
-    psi0: QuditRegister,
-    shots: int | None = None,
-    seed: int = 0,
-) -> float:
-    """dE/dtheta_mu as the first derivative of the fitted energy curve."""
-    rng = np.random.default_rng(seed) if shots is not None else None
-    plan = plan_shifts(circuit, (mu,), seed=seed)
-    vals = []
-    for a in plan.points:
-        psi = circuit.state(_shifted(np.asarray(theta, float), mu, a), psi0)
-        vals.append(_energy_readout(psi, spectrum, shots, rng))
-    return fourier_derivative(plan, fit_fourier(plan, vals), 1)
+    return table.base, m, v
 
 
 def _plus_probability(words, alpha: float):
@@ -285,12 +256,6 @@ def _test_values(words: np.ndarray, alpha: float, shots, rng) -> np.ndarray:
     return 2.0 * p - 1.0 if alpha == 0.0 else 1.0 - 2.0 * p
 
 
-def _gate_ops(circuit: Circuit, theta) -> list[LocalOperator]:
-    """Every gate of the circuit at ``theta``, in application order."""
-    theta = np.asarray(theta, dtype=float)
-    return [LocalOperator(circuit.local_dim, g.targets, g.matrix(theta[g.slot])) for g in circuit.gates]
-
-
 @dataclass(frozen=True)
 class _Words:
     """Every noiseless Hadamard-test word at one theta, read off one stage sweep.
@@ -309,7 +274,7 @@ class _Words:
     ham_rows: np.ndarray
 
 
-def _hadamard_plan(circuit: Circuit) -> tuple[np.ndarray, RowPlan]:
+def hadamard_plan(circuit: Circuit) -> tuple[np.ndarray, RowPlan]:
     """Piece coefficient of every gate and the sweep that inserts u_p and u_p^dag."""
     coefs, ops = [], []
     for p, g in enumerate(circuit.gates):
@@ -380,9 +345,33 @@ def element_from_hadamard(
             raise ValueError("vector elements need the Hamiltonian as unitaries")
     else:
         raise ValueError(f"unknown element kind {kind!r}")
-    coefs, plan = _hadamard_plan(circuit)
-    words = _read_words(circuit, coefs, plan, theta, psi0, ham_pieces or ())
+    words = _read_words(circuit, *hadamard_plan(circuit), theta, psi0, ham_pieces or ())
     return _element(kind, circuit, words, mu, nu, shots, seed)
+
+
+def hadamard_eom(
+    circuit: Circuit,
+    route: tuple[np.ndarray, RowPlan],
+    theta,
+    psi0: QuditRegister,
+    ham_pieces: Sequence[tuple[float, LocalOperator]],
+    kinds: Sequence[str],
+    shots: int | None = None,
+    seed: int = 0,
+) -> tuple[QuditRegister, np.ndarray, list[np.ndarray]]:
+    """State, metric and one vector per kind ('VI' or 'VR') from one stage sweep.
+
+    ``route`` is ``hadamard_plan(circuit)``.  Each element draws its shots
+    from a fresh generator, as ``element_from_hadamard`` does.
+    """
+    words = _read_words(circuit, *route, theta, psi0, ham_pieces)
+    npar = circuit.num_params
+    m = np.zeros((npar, npar))
+    for mu in range(npar):
+        for nu in range(mu, npar):
+            m[mu, nu] = m[nu, mu] = _element("M", circuit, words, mu, nu, shots, seed)
+    vs = [np.array([_element(k, circuit, words, mu, None, shots, seed) for mu in range(npar)]) for k in kinds]
+    return words.psi, m, vs
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -425,30 +414,18 @@ def randomized_connected_anticommutator(
     return bracket - 2.0 * ea0 * eb0
 
 
-def heisenberg_slot_generator(circuit: Circuit, theta, mu: int) -> np.ndarray:
-    """Dense sum over slot positions of U_{1:p}^dag G_p U_{1:p}."""
+def heisenberg_generators(circuit: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit unitary U and every Heisenberg slot generator, from one tangent sweep per basis state.
+
+    G~_mu sums U_{p:1}^dag G_p U_{p:1} over the gates p of slot mu.  The
+    tangents T of U e_j are -i U G~ e_j, so column j of G~_mu is
+    i (U^dag T)[:, mu].  Returns (U, G~) with G~[mu] the generator of slot mu.
+    """
     n, d = circuit.num_qudits, circuit.local_dim
-    dim = d**n
-    prefix = np.eye(dim, dtype=complex)
-    prefixes = {}
-    positions = set(circuit.slot_positions(mu))
-    for p, op in enumerate(_gate_ops(circuit, theta)):
-        prefix = lift_operator(op, n) @ prefix
-        if p in positions:
-            prefixes[p] = prefix.copy()
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in positions:
-        gen = lift_operator(circuit.gates[p].generator, n)
-        total += prefixes[p].conj().T @ gen @ prefixes[p]
-    return total
-
-
-def circuit_unitary(circuit: Circuit, theta) -> np.ndarray:
-    n = circuit.num_qudits
-    mat = np.eye(circuit.local_dim**n, dtype=complex)
-    for op in _gate_ops(circuit, theta):
-        mat = lift_operator(op, n) @ mat
-    return mat
+    sweeps = [circuit.tangents(theta, QuditRegister(n, d, e_j)) for e_j in np.eye(d**n, dtype=complex)]
+    u = np.stack([psi.amplitudes for psi, _ in sweeps], axis=1)
+    cols = np.stack([1.0j * (u.conj().T @ t) for _, t in sweeps])  # [j, row, mu]
+    return u, np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 def make_estimator(est_cfg, ctx):
@@ -471,34 +448,19 @@ def make_estimator(est_cfg, ctx):
             if kind != "imag":
                 raise ValueError("the shift route provides the metric and dE/dtheta only")
             seed = _seed() if est_cfg.shots is not None else 0
-            m = metric_matrix_from_shifts(circuit, theta, psi0, est_cfg.shots, seed)
-            v = np.array(
-                [
-                    gradient_from_shifts(circuit, theta, mu, ctx.spectrum, psi0, est_cfg.shots, seed)
-                    for mu in range(circuit.num_params)
-                ]
-            )
-            return _pack(circuit.state(theta, psi0), m, v)
+            return _pack(*shift_eom(circuit, theta, psi0, ctx.spectrum, est_cfg.shots, seed))
 
         return est
 
     if est_cfg.mode == "hadamard":
         pieces = hamiltonian_unitary_pieces(ctx.ham_spec)
-        coefs, plan = _hadamard_plan(circuit)
+        route = hadamard_plan(circuit)
 
         def est(theta, kind):
             seed = _seed() if est_cfg.shots is not None else 0
-            words = _read_words(circuit, coefs, plan, theta, psi0, pieces)
-            npar = circuit.num_params
-            m = np.zeros((npar, npar))
-            for mu in range(npar):
-                for nu in range(mu, npar):
-                    m[mu, nu] = m[nu, mu] = _element("M", circuit, words, mu, nu, est_cfg.shots, seed)
             label = "VI" if kind == "imag" else "VR"
-            v = np.array(
-                [_element(label, circuit, words, mu, None, est_cfg.shots, seed) for mu in range(npar)]
-            )
-            return _pack(words.psi, m, v)
+            psi, m, (v,) = hadamard_eom(circuit, route, theta, psi0, pieces, (label,), est_cfg.shots, seed)
+            return _pack(psi, m, v)
 
         return est
 
@@ -508,8 +470,7 @@ def make_estimator(est_cfg, ctx):
                 raise ValueError("the randomized route only provides anticommutators")
             rng = np.random.default_rng(_seed())
             npar = circuit.num_params
-            gens = [heisenberg_slot_generator(circuit, theta, mu) for mu in range(npar)]
-            u = circuit_unitary(circuit, theta)
+            u, gens = heisenberg_generators(circuit, theta)
             h_tilde = u.conj().T @ ctx.ham @ u
             amps = psi0.amplitudes
             m = np.zeros((npar, npar))

@@ -14,9 +14,8 @@ from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunCon
 from quditgauge.core import LocalOperator, basis_state
 from quditgauge.measure import (
     element_from_hadamard,
-    gradient_from_shifts,
-    metric_from_shifts,
     randomized_connected_anticommutator,
+    shift_eom,
 )
 from quditgauge.model import (
     chain_hamiltonian,
@@ -262,6 +261,7 @@ class TestCriterion6EstimatorEquivalence:
                 m = metric_tensor(circ, theta, psi0)
                 vi = energy_gradient(circ, theta, ham, psi0)
                 vr = real_time_vector(circ, theta, ham, psi0)
+                _, m_shift, v_shift = shift_eom(circ, theta, psi0, spectrum)
                 if model_kind == "chain":
                     pairs = [(a, b) for a in range(npar) for b in range(a, npar)]
                     slots = list(range(npar))
@@ -270,11 +270,11 @@ class TestCriterion6EstimatorEquivalence:
                     pairs += [(int(rng.integers(npar)),) * 2 for _ in range(2)]
                     slots = list(rng.choice(npar, 5, replace=False))
                 for mu, nu in pairs:
-                    sh = metric_from_shifts(circ, theta, mu, nu, psi0)
+                    sh = m_shift[mu, nu]
                     ha = element_from_hadamard("M", circ, theta, mu, nu, None, psi0)
                     worst = max(worst, abs(sh - m[mu, nu]), abs(ha - m[mu, nu]))
                 for mu in slots:
-                    sh = gradient_from_shifts(circ, theta, mu, spectrum, psi0)
+                    sh = v_shift[mu]
                     hi = element_from_hadamard("VI", circ, theta, mu, None, pieces, psi0)
                     hr = element_from_hadamard("VR", circ, theta, mu, None, pieces, psi0)
                     worst = max(

@@ -135,6 +135,75 @@ class TestQuenchCommand:
         assert float(first["exact_n_1"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    lines = path.read_text().splitlines()
+    return lines[1].split(","), np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+
+
+class TestEstimatorRoutes:
+    """The shift and randomized routes through the drivers, end to end."""
+
+    CHAIN = {
+        "model": {"dimension": 1, "num_links": 3},
+        "ansatz": {"family": "chain", "layers": 1, "init_seed": 1},
+        "evolution": {"mode": "vite", "dt": 0.05, "steps": 3, "integrator": "euler"},
+    }
+
+    def run_twice(self, tmp_path, command: str, data: dict) -> list[Path]:
+        cfg_path = write_config(tmp_path, "c.json", data)
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        return outs
+
+    def test_noiseless_shift_ground_matches_exact_route(self, tmp_path):
+        results = {}
+        for mode in ("exact", "shift"):
+            cfg_path = write_config(tmp_path, f"{mode}.json", dict(self.CHAIN, estimator={"mode": mode}))
+            out = tmp_path / mode
+            assert main(["ground", "--config", str(cfg_path), "--out", str(out)]) == 0
+            header, rows = read_csv(out / "trajectory.csv")
+            theta = np.array(json.loads((out / "final.json").read_text())["theta"])
+            results[mode] = rows[:, header.index("energy")], theta
+        (e_exact, th_exact), (e_shift, th_shift) = results["exact"], results["shift"]
+        assert e_exact.shape == e_shift.shape == (4,)
+        assert np.max(np.abs(e_shift - e_exact)) < 1e-8
+        assert np.max(np.abs(th_shift - th_exact)) < 1e-8
+
+    def test_seeded_shift_shots_reproduce(self, tmp_path):
+        data = dict(self.CHAIN, estimator={"mode": "shift", "shots": 500, "seed": 4})
+        outs = self.run_twice(tmp_path, "ground", data)
+        for name in ("trajectory.csv", "final.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_seeded_randomized_quench_reproduces(self, tmp_path):
+        data = dict(
+            self.CHAIN,
+            evolution={"mode": "vrte", "dt": 0.02, "steps": 2, "integrator": "euler"},
+            estimator={"mode": "randomized", "samples": 4, "seed": 3},
+        )
+        outs = self.run_twice(tmp_path, "quench", data)
+        header, rows = read_csv(outs[0] / "trajectory.csv")
+        assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
+        for name in ("trajectory.csv", "final.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestMeasureCheckCommand:
+    def test_chain_rows_and_deviations(self, tmp_path):
+        data = {"model": {"dimension": 1, "num_links": 3}, "ansatz": {"family": "chain", "layers": 1}}
+        cfg_path = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "o"
+        assert main(["measure-check", "--config", str(cfg_path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "measure_check.csv")
+        npar = 8
+        assert rows.shape == (npar * (npar + 1) // 2 + 2 * npar, len(header))
+        assert np.bincount(rows[:, 0].astype(int)).tolist() == [npar * (npar + 1) // 2, npar, npar]
+        summary = json.loads((out / "measure_summary.json").read_text())
+        assert summary["max_abs_dev_shift"] < 1e-8
+        assert summary["max_abs_dev_hadamard"] < 1e-8
+
+
 class TestExactCommand:
     def test_spectrum_and_series(self, tmp_path):
         data = {

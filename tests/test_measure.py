@@ -7,18 +7,17 @@ from quditgauge.ansatz import Circuit, chain_circuit, plaquette_circuit
 from quditgauge.config import parse_config
 from quditgauge.core import LocalOperator, QuditRegister, basis_state, embedded_pauli
 from quditgauge.measure import (
+    ShiftTable,
     element_from_hadamard,
     fit_fourier,
+    fourier_derivative,
     fourier_value,
-    gradient_from_shifts,
     hadamard_test,
     haar_unitary,
-    metric_from_shifts,
-    metric_matrix_from_shifts,
+    heisenberg_generators,
     plan_shifts,
     randomized_connected_anticommutator,
-    shift_overlap,
-    shift_overlap_pair,
+    shift_eom,
 )
 from quditgauge.model import (
     chain_hamiltonian,
@@ -30,7 +29,7 @@ from quditgauge.model import (
 from quditgauge.oracle import eigendecompose
 from quditgauge.varsim import RunContext, energy_gradient, exact_eom, metric_tensor, real_time_vector
 
-from helpers import kron_lift, random_hermitian, random_state
+from helpers import kron_lift, random_hermitian, random_state, series_expm
 from test_ansatz import hand_built_circuit
 
 
@@ -49,14 +48,16 @@ class TestOverlaps:
     def test_zero_shift(self, small_chain):
         circ, _, psi0 = small_chain
         theta = np.random.default_rng(0).uniform(-1, 1, circ.num_params)
-        assert shift_overlap(circ, theta, 2, 0.0, psi0) == pytest.approx(1.0, abs=1e-12)
-        assert shift_overlap_pair(circ, theta, 1, 4, 0.0, psi0) == pytest.approx(1.0, abs=1e-12)
+        table = ShiftTable(circ, theta, psi0)
+        assert table.overlaps(2, None, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert table.overlaps(1, 4, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_slots_constant(self, small_chain):
         circ, _, psi0 = small_chain
         theta = np.random.default_rng(1).uniform(-1, 1, circ.num_params)
+        table = ShiftTable(circ, theta, psi0)
         for a in (0.3, -1.1, 2.0):
-            assert shift_overlap_pair(circ, theta, 3, 3, a, psi0) == pytest.approx(1.0, abs=1e-12)
+            assert table.overlaps(3, 3, [a])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_statevector(self, small_chain):
         circ, _, psi0 = small_chain
@@ -68,13 +69,13 @@ class TestOverlaps:
         tb = theta.copy()
         tb[nu] += a
         want = abs(np.vdot(circ.state(ta, psi0).amplitudes, circ.state(tb, psi0).amplitudes)) ** 2
-        assert shift_overlap_pair(circ, theta, mu, nu, a, psi0) == pytest.approx(want, abs=1e-12)
+        assert ShiftTable(circ, theta, psi0).overlaps(mu, nu, [a])[0] == pytest.approx(want, abs=1e-12)
 
     def test_shot_mode_is_binomial(self, small_chain):
         circ, _, psi0 = small_chain
         theta = np.zeros(circ.num_params)
         rng = np.random.default_rng(3)
-        val = shift_overlap(circ, theta, 0, 0.4, psi0, shots=1000, rng=rng)
+        (val,) = ShiftTable(circ, theta, psi0).overlaps(0, None, [0.4], shots=1000, rng=rng)
         assert 0.0 <= val <= 1.0
         assert val * 1000 == pytest.approx(round(val * 1000))
 
@@ -151,30 +152,32 @@ class TestFourierFit:
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
         mu = 2
         plan = plan_shifts(circ, (mu,))
-        vals = [shift_overlap(circ, theta, mu, a, psi0) for a in plan.points]
-        coeffs = fit_fourier(plan, vals)
+        table = ShiftTable(circ, theta, psi0)
+        coeffs = fit_fourier(plan, table.overlaps(mu, None, plan.points))
         for a in rng.uniform(-2.0, 2.0, 20):
-            want = shift_overlap(circ, theta, mu, a, psi0)
+            (want,) = table.overlaps(mu, None, [a])
             assert fourier_value(plan, coeffs, a) == pytest.approx(want, abs=1e-8)
 
 
 class TestMetricFromShifts:
     def test_matches_exact_random(self, small_chain):
-        circ, _, psi0 = small_chain
+        circ, ham, psi0 = small_chain
+        spec = eigendecompose(ham)
         rng = np.random.default_rng(13)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             m_exact = metric_tensor(circ, theta, psi0)
+            _, m, _ = shift_eom(circ, theta, psi0, spec)
             for mu, nu in [(0, 0), (2, 2), (0, 1), (2, 5), (4, 7)]:
-                got = metric_from_shifts(circ, theta, mu, nu, psi0)
-                assert got == pytest.approx(m_exact[mu, nu], abs=1e-8), (mu, nu)
+                assert m[mu, nu] == pytest.approx(m_exact[mu, nu], abs=1e-8), (mu, nu)
 
     def test_full_matrix(self, small_chain):
-        circ, _, psi0 = small_chain
+        circ, ham, psi0 = small_chain
         theta = np.random.default_rng(14).uniform(-np.pi, np.pi, circ.num_params)
-        got = metric_matrix_from_shifts(circ, theta, psi0)
+        psi, got, _ = shift_eom(circ, theta, psi0, eigendecompose(ham))
         want = metric_tensor(circ, theta, psi0)
         assert np.max(np.abs(got - want)) < 1e-8
+        assert np.array_equal(psi.amplitudes, circ.state(theta, psi0).amplitudes)
 
     def test_diagonal_is_variance(self):
         # single-gate circuit: M_00 = Var(G) reproduced through p''(0)
@@ -185,19 +188,20 @@ class TestMetricFromShifts:
         rng = np.random.default_rng(15)
         psi = random_state(3, rng)
         reg = basis_state(1, 3, [0]).__class__(1, 3, psi)
-        got = metric_from_shifts(circ, np.array([0.2]), 0, 0, reg)
+        _, m, _ = shift_eom(circ, np.array([0.2]), reg, eigendecompose(gen.matrix))
         g = gen.matrix
         want = np.vdot(psi, g @ g @ psi).real - np.vdot(psi, g @ psi).real ** 2
-        assert got == pytest.approx(want, abs=1e-9)
+        assert m[0, 0] == pytest.approx(want, abs=1e-9)
 
     def test_unbiased_over_seeds(self, small_chain):
         # shot-mode estimates average to the exact value: linear estimator
-        circ, _, psi0 = small_chain
+        circ, ham, psi0 = small_chain
+        spec = eigendecompose(ham)
         theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
         exact = metric_tensor(circ, theta, psi0)[1, 1]
         shots = 2000
         draws = np.array(
-            [metric_from_shifts(circ, theta, 1, 1, psi0, shots=shots, seed=s) for s in range(100)]
+            [shift_eom(circ, theta, psi0, spec, shots=shots, seed=s)[1][1, 1] for s in range(100)]
         )
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - exact) < 3 * se + 1e-12
@@ -211,26 +215,31 @@ class TestGradientFromShifts:
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             grad = energy_gradient(circ, theta, ham, psi0)
+            _, _, got = shift_eom(circ, theta, psi0, spec)
             for mu in range(circ.num_params):
-                got = gradient_from_shifts(circ, theta, mu, spec, psi0)
-                assert got == pytest.approx(grad[mu], abs=1e-8), mu
+                assert got[mu] == pytest.approx(grad[mu], abs=1e-8), mu
 
     def test_identity_hamiltonian_zero(self, small_chain):
         circ, _, psi0 = small_chain
         spec = eigendecompose(np.eye(27, dtype=complex))
         theta = np.random.default_rng(18).uniform(-1, 1, circ.num_params)
-        assert gradient_from_shifts(circ, theta, 0, spec, psi0) == pytest.approx(0.0, abs=1e-10)
+        assert shift_eom(circ, theta, psi0, spec)[2][0] == pytest.approx(0.0, abs=1e-10)
 
     def test_error_scales_with_shots(self, small_chain):
+        # slot 0's gradient as shift_eom reads it: a fresh generator per seed
         circ, ham, psi0 = small_chain
         spec = eigendecompose(ham)
         theta = np.random.default_rng(19).uniform(-1, 1, circ.num_params)
         exact = energy_gradient(circ, theta, ham, psi0)[0]
+        table = ShiftTable(circ, theta, psi0)
+        plan = plan_shifts(circ, (0,))
+
+        def gradient(shots, seed):
+            samples = table.energies(0, plan.points, spec, shots, np.random.default_rng(seed))
+            return fourier_derivative(plan, fit_fourier(plan, samples))
 
         def spread(shots, trials=30):
-            vals = np.array(
-                [gradient_from_shifts(circ, theta, 0, spec, psi0, shots=shots, seed=s) for s in range(trials)]
-            )
+            vals = np.array([gradient(shots, s) for s in range(trials)])
             return np.sqrt(np.mean((vals - exact) ** 2))
 
         r = spread(1000) / spread(100000)
@@ -487,6 +496,26 @@ class TestRandomized:
         big = np.eye(243, dtype=complex)
         with pytest.raises(ValueError):
             randomized_connected_anticommutator(big, big, np.ones(243, complex), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [hand_built_circuit, lambda: plaquette_circuit(1, "real", include_plaquette_gate=True)],
+        ids=["hand built", "plaquette gate"],
+    )
+    def test_heisenberg_generators_match_dense_products(self, make):
+        # U = M_K ... M_1 and G~_mu = sum over slot mu's gates of U_{p:1}^dag G_p U_{p:1}
+        circ = make()
+        n, d = circ.num_qudits, circ.local_dim
+        theta = np.random.default_rng(57).uniform(-np.pi, np.pi, circ.num_params)
+        prefix = np.eye(d**n, dtype=complex)
+        want = np.zeros((circ.num_params, d**n, d**n), dtype=complex)
+        for g in circ.gates:
+            gen = g.generator.matrix
+            prefix = kron_lift(series_expm(-1.0j * theta[g.slot] * gen), g.targets, n, d) @ prefix
+            want[g.slot] += prefix.conj().T @ kron_lift(gen, g.targets, n, d) @ prefix
+        u, gens = heisenberg_generators(circ, theta)
+        assert np.max(np.abs(u - prefix)) < 1e-12
+        assert np.max(np.abs(gens - want)) < 1e-12
 
     def test_haar_unitary_is_unitary(self):
         rng = np.random.default_rng(28)

@@ -14,6 +14,9 @@ parameter slot, a call pushes O(stages * P) rows through the traced kernels,
 not O(gates^2).  So is the Hadamard route: one estimator call on the
 benchmark's L=3 N=1 chain runs its stage sweep through the traced kernels
 and calls no ``hadamard_test``, and the traced wrappers must accept it.
+One shift-route estimator call there simulates each state it reads once
+through the traced ``Circuit.state``: the base state and each distinct
+(slot, shift) state, at most 401 where a simulation per sample took 1,097.
 """
 import json
 import subprocess
@@ -62,6 +65,10 @@ print(json.dumps({
 }))
 """
 
+SHIFT_EOM = HADAMARD_EOM.replace('"mode": "hadamard"', '"mode": "shift"').replace(
+    '"rows": tracer.counts.get("core.kernel.rows", 0),', '"states": tracer.calls.get("ansatz.state", 0),'
+)
+
 
 def run_traced(extra: str = "") -> subprocess.CompletedProcess:
     code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"), extra=extra)
@@ -93,4 +100,13 @@ def test_hadamard_eom_sweeps_through_traced_kernels():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["params"] == 8
     assert result["rows"] > 0
+    assert result["hadamard_tests"] == 0
+
+
+def test_shift_eom_simulates_each_state_once():
+    proc = run_traced(SHIFT_EOM)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["params"] == 8
+    assert 0 < result["states"] <= 401
     assert result["hadamard_tests"] == 0
