@@ -49,5 +49,5 @@ from .varsim import (
     run_quench,
     solve_flow,
 )
-from .oracle import Spectrum, eigendecompose, evolve_imag, evolve_real, finite_difference, ground_state
+from .oracle import Spectrum, eigendecompose, evolve_imag, evolve_real, finite_difference, ground_state, sector_spectrum
 from .config import RunConfig, config_hash, load_config, parse_config

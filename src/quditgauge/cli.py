@@ -1,7 +1,7 @@
 """Batch front door: run configurations in, deterministic CSV/JSON out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 dense-dimension cap exceeded.
+4 dimension cap exceeded.
 """
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
     rows = []
     from .core import QuditRegister, entanglement_entropy
 
-    energy0 = float(np.vdot(ctx.psi0.amplitudes, ctx.ham @ ctx.psi0.amplitudes).real)
+    energy0 = float(np.vdot(ctx.psi0.amplitudes, ctx.spectrum @ ctx.psi0.amplitudes).real)
     for k in range(ev.steps + 1):
         t = k * ev.dt
         psi = oracle.evolve_real(spec, ctx.psi0.amplitudes, t)
@@ -169,7 +169,7 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
 
 
 def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
-    # Checked before the context builds the dense Hamiltonian and its spectrum.
+    # Checked before the context builds the Hamiltonian and its spectrum.
     if cfg.model.local_dim**cfg.model.num_links > 243:
         raise ConfigError("measure-check is meant for small models (L=3 or the plaquette)")
     ctx = varsim.RunContext.from_config(cfg)
@@ -183,11 +183,12 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     shots = cfg.estimator.shots or 10_000
     seed = cfg.estimator.seed
 
-    exact = varsim.exact_eom(circuit, theta, ctx.ham, psi0, "imag")
-    v_real = varsim.real_time_vector(circuit, theta, ctx.ham, psi0)
+    exact = varsim.exact_eom(circuit, theta, ctx.spectrum, psi0, "imag")
+    v_real = varsim.real_time_vector(circuit, theta, ctx.spectrum, psi0)
     route = measure.hadamard_plan(circuit)
-    _, sh_m, sh_v = measure.shift_eom(circuit, theta, psi0, ctx.spectrum)
-    _, sh_m_s, sh_v_s = measure.shift_eom(circuit, theta, psi0, ctx.spectrum, shots, seed)
+    plans = measure.ShiftPlans(circuit)
+    _, sh_m, sh_v = measure.shift_eom(circuit, theta, psi0, ctx.spectrum, plans=plans)
+    _, sh_m_s, sh_v_s = measure.shift_eom(circuit, theta, psi0, ctx.spectrum, shots, seed, plans)
     _, ha_m, ha_v = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"))
     _, ha_m_s, ha_v_s = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"), shots, seed)
     npar = circuit.num_params

@@ -16,8 +16,8 @@ ENTROPY_EIG_FLOOR = 1e-14
 
 
 def check_hermitian(a: np.ndarray, what: str, atol: float = 0.0, rtol: float = 0.0) -> None:
-    """Raise ValueError unless max|A - A^dag| < atol + rtol * max(1, max|A|)."""
-    err = float(np.max(np.abs(a - a.conj().T)))
+    """Raise ValueError unless max|A - A^dag| < atol + rtol * max(1, max|A|); A may be a stack of matrices."""
+    err = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
     bound = atol + (rtol * max(1.0, float(np.max(np.abs(a)))) if rtol else 0.0)
     if err >= bound:
         raise ValueError(f"{what} is not Hermitian: ||A - A^dag||_max = {err:.3e}")

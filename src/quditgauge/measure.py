@@ -85,9 +85,8 @@ def _slot_shift_sums(circuit: Circuit, mu: int) -> np.ndarray:
     return sums
 
 
-def plan_shifts(circuit: Circuit, slots: Sequence[int], seed: int = 0) -> ShiftPlan:
-    """Frequency set and full-rank evaluation points for one overlap function."""
-    slots = tuple(slots)
+def _frequencies(circuit: Circuit, slots: tuple[int, ...]) -> np.ndarray:
+    """Every frequency of the overlap function of one slot (p, v) or one slot pair (f)."""
     if len(slots) == 1:
         amp = _slot_shift_sums(circuit, slots[0])
     elif len(slots) == 2:
@@ -96,28 +95,64 @@ def plan_shifts(circuit: Circuit, slots: Sequence[int], seed: int = 0) -> ShiftP
         amp = _dedupe((b[:, None] - a[None, :]).ravel())
     else:
         raise ValueError("plans cover one slot (p, v) or a slot pair (f)")
-    freqs = _dedupe((amp[:, None] - amp[None, :]).ravel())
+    return _dedupe((amp[:, None] - amp[None, :]).ravel())
+
+
+def _full_rank(freqs: np.ndarray, points: np.ndarray) -> ShiftPlan | None:
+    design = np.exp(1.0j * points[:, None] * freqs[None, :])
+    return ShiftPlan(freqs, points, design) if np.linalg.cond(design) < RANK_COND_LIMIT else None
+
+
+def _grid_plan(freqs: np.ndarray) -> ShiftPlan | None:
+    """The plan on the first of two fixed grids that gives a full-rank design, if either does."""
     r = len(freqs)
     if r == 1:
-        points = np.zeros(1)
-        return ShiftPlan(freqs, points, np.ones((1, 1), dtype=complex))
-    wmax = float(np.max(np.abs(freqs)))
+        return ShiftPlan(freqs, np.zeros(1), np.ones((1, 1), dtype=complex))
     # The window must resolve the smallest frequency gap, not just the
     # largest frequency: a grid scaled by 1/wmax alone goes rank-deficient
     # as soon as the spectrum is finer than unit spacing.
-    gap = float(np.min(np.diff(freqs)))
-    rng = np.random.default_rng(seed)
     grid = (np.arange(r) + 0.5) / r * 2.0 * np.pi - np.pi
-    candidates = [grid / wmax, grid / gap]
-    for attempt in range(MAX_PLAN_TRIES):
-        if attempt < len(candidates):
-            points = candidates[attempt]
-        else:
-            points = np.sort(rng.uniform(-np.pi, np.pi, r)) / gap
-        design = np.exp(1.0j * points[:, None] * freqs[None, :])
-        if np.linalg.cond(design) < RANK_COND_LIMIT:
-            return ShiftPlan(freqs, points, design)
+    for points in (grid / float(np.max(np.abs(freqs))), grid / float(np.min(np.diff(freqs)))):
+        plan = _full_rank(freqs, points)
+        if plan is not None:
+            return plan
+    return None
+
+
+def _drawn_plan(freqs: np.ndarray, seed: int) -> ShiftPlan:
+    """The plan on the first full-rank set of random points drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    gap = float(np.min(np.diff(freqs)))
+    for _ in range(MAX_PLAN_TRIES - 2):  # after the two fixed grids
+        plan = _full_rank(freqs, np.sort(rng.uniform(-np.pi, np.pi, len(freqs))) / gap)
+        if plan is not None:
+            return plan
     raise RuntimeError(f"no full-rank shift design after {MAX_PLAN_TRIES} draws")
+
+
+class ShiftPlans:
+    """``plan_shifts`` for one circuit, planning each slot or slot pair once.
+
+    A plan reads the seed only when neither fixed grid is full rank; only
+    those plans are drawn again, from the seed of each call.
+    """
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+        self._grid: dict[tuple[int, ...], tuple[np.ndarray, ShiftPlan | None]] = {}
+
+    def __call__(self, slots: Sequence[int], seed: int = 0) -> ShiftPlan:
+        slots = tuple(slots)
+        if slots not in self._grid:
+            freqs = _frequencies(self.circuit, slots)
+            self._grid[slots] = (freqs, _grid_plan(freqs))
+        freqs, plan = self._grid[slots]
+        return plan if plan is not None else _drawn_plan(freqs, seed)
+
+
+def plan_shifts(circuit: Circuit, slots: Sequence[int], seed: int = 0) -> ShiftPlan:
+    """Frequency set and full-rank evaluation points for one overlap function."""
+    return ShiftPlans(circuit)(slots, seed)
 
 
 def fit_fourier(plan: ShiftPlan, values: Sequence[float]) -> np.ndarray:
@@ -170,7 +205,7 @@ class ShiftTable:
         """<H> at theta + a e_mu for each shift a, or its mean over ``shots`` spectrum draws."""
         vals = []
         for a in points:
-            weights = np.abs(spectrum.eigenvectors.conj().T @ self.state(mu, a)) ** 2
+            weights = spectrum.weights(self.state(mu, a))
             if shots is None:
                 vals.append(float(np.sum(spectrum.eigenvalues * weights)))
             else:
@@ -186,6 +221,7 @@ def shift_eom(
     spectrum: Spectrum,
     shots: int | None = None,
     seed: int = 0,
+    plans: ShiftPlans | None = None,
 ) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
     """State, metric and energy gradient from samples at shifted parameters.
 
@@ -196,8 +232,10 @@ def shift_eom(
     slope of the fitted energy curve.  Every sample reads one
     ``ShiftTable``.  With shots, one generator draws the whole metric
     (curvatures first, then the pairs row by row) and each gradient slot
-    draws from a fresh one.
+    draws from a fresh one.  ``plans`` carries the plans over from earlier
+    calls on the same circuit.
     """
+    plans = plans or ShiftPlans(circuit)
     table = ShiftTable(circuit, theta, psi0)
     npar = circuit.num_params
 
@@ -210,13 +248,13 @@ def shift_eom(
     rng = fresh_rng()
     d2p, v = np.empty(npar), np.empty(npar)
     for mu in range(npar):
-        plan = plan_shifts(circuit, (mu,), seed=seed)
+        plan = plans((mu,), seed)
         d2p[mu] = derivative(plan, table.overlaps(mu, None, plan.points, shots, rng), 2)
         v[mu] = derivative(plan, table.energies(mu, plan.points, spectrum, shots, fresh_rng()), 1)
     m = np.diag(-0.5 * d2p)
     for mu in range(npar):
         for nu in range(mu + 1, npar):
-            plan = plan_shifts(circuit, (mu, nu), seed=seed)
+            plan = plans((mu, nu), seed)
             d2f = derivative(plan, table.overlaps(mu, nu, plan.points, shots, rng), 2)
             m[mu, nu] = m[nu, mu] = 0.25 * (d2f - d2p[mu] - d2p[nu])
     return table.base, m, v
@@ -441,14 +479,16 @@ def make_estimator(est_cfg, ctx):
 
     def _pack(psi, m, v):
         amp = psi.amplitudes
-        return EomQuantities(m, v, psi, float(np.vdot(amp, ctx.ham @ amp).real))
+        return EomQuantities(m, v, psi, float(np.vdot(amp, ctx.spectrum @ amp).real))
 
     if est_cfg.mode == "shift":
+        plans = ShiftPlans(circuit)
+
         def est(theta, kind):
             if kind != "imag":
                 raise ValueError("the shift route provides the metric and dE/dtheta only")
             seed = _seed() if est_cfg.shots is not None else 0
-            return _pack(*shift_eom(circuit, theta, psi0, ctx.spectrum, est_cfg.shots, seed))
+            return _pack(*shift_eom(circuit, theta, psi0, ctx.spectrum, est_cfg.shots, seed, plans))
 
         return est
 
@@ -471,7 +511,7 @@ def make_estimator(est_cfg, ctx):
             rng = np.random.default_rng(_seed())
             npar = circuit.num_params
             u, gens = heisenberg_generators(circuit, theta)
-            h_tilde = u.conj().T @ ctx.ham @ u
+            h_tilde = u.conj().T @ (ctx.spectrum @ u)
             amps = psi0.amplitudes
             m = np.zeros((npar, npar))
             for mu in range(npar):

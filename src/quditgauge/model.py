@@ -31,7 +31,7 @@ DIM_CAP = 6561
 
 
 class CapError(ValueError):
-    """Raised when a dense materialization would exceed the supported size."""
+    """Raised when a model or a dense matrix exceeds the supported dimension."""
 
 
 @dataclass(frozen=True)
@@ -454,7 +454,7 @@ def hamiltonian_unitary_pieces(ham: HamiltonianSpec) -> list[tuple[float, LocalO
 
 
 def materialize(ham: HamiltonianSpec) -> np.ndarray:
-    """Dense matrix of the full Hamiltonian."""
+    """Dense matrix of the full Hamiltonian: a test oracle for `oracle.sector_spectrum`, which the run path uses."""
     n = ham.num_qudits
     d = ham.lattice.local_dim
     dim = d**n

@@ -19,7 +19,7 @@ from . import oracle
 from .ansatz import Circuit, chain_circuit, plaquette_circuit, random_initial_params
 from .config import EvolutionConfig, RunConfig
 from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, lift_diagonal
-from .model import HamiltonianSpec, materialize
+from .model import DIM_CAP, CapError, HamiltonianSpec
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,16 @@ class TrajectoryRecord:
     m_cond: float
 
 
-def exact_eom(circuit: Circuit, theta, ham: np.ndarray | None, psi0: QuditRegister, kind: str) -> EomQuantities:
+def exact_eom(
+    circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum | None, psi0: QuditRegister, kind: str
+) -> EomQuantities:
     """Metric and flow vector of ``kind`` from one tangent sweep.
 
     The metric is the real part of the quantum geometric tensor.  The flow
     vector is dE/dtheta = 2 Re <d_mu psi|H|psi> for ``kind='imag'`` and, for
     ``kind='real'``, 2 Im <d_mu psi|H|psi> plus the global-phase correction.
-    ``ham=None`` stands for H = 0, which leaves the metric alone.
+    ``ham`` is a dense matrix or a ``Spectrum``; ``ham=None`` stands for
+    H = 0, which leaves the metric alone.
     """
     if kind not in ("imag", "real"):
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
@@ -85,12 +88,12 @@ def metric_tensor(circuit: Circuit, theta, psi0: QuditRegister) -> np.ndarray:
     return exact_eom(circuit, theta, None, psi0, "imag").m
 
 
-def energy_gradient(circuit: Circuit, theta, ham: np.ndarray, psi0: QuditRegister) -> np.ndarray:
+def energy_gradient(circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum, psi0: QuditRegister) -> np.ndarray:
     """dE/dtheta = 2 Re <d_mu psi | H | psi>."""
     return exact_eom(circuit, theta, ham, psi0, "imag").v
 
 
-def real_time_vector(circuit: Circuit, theta, ham: np.ndarray, psi0: QuditRegister) -> np.ndarray:
+def real_time_vector(circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum, psi0: QuditRegister) -> np.ndarray:
     """Flow vector for real-time evolution, including the global-phase correction."""
     return exact_eom(circuit, theta, ham, psi0, "real").v
 
@@ -194,8 +197,7 @@ class RunContext:
     """Everything a driver reuses across steps."""
 
     ham_spec: HamiltonianSpec
-    ham: np.ndarray
-    spectrum: oracle.Spectrum
+    spectrum: oracle.Spectrum  # H as blocks of its sectors, with their eigenpairs
     circuit: Circuit
     psi0: QuditRegister
     n_diags: np.ndarray  # (num_sites, dim) real
@@ -203,22 +205,24 @@ class RunContext:
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "RunContext":
+        dim = cfg.model.local_dim**cfg.model.num_links
+        if dim > DIM_CAP:
+            raise CapError(f"dimension {dim} exceeds the cap {DIM_CAP}")
         ham_spec = build_hamiltonian(cfg)
-        ham = materialize(ham_spec)
-        spectrum = oracle.eigendecompose(ham)
+        spectrum = oracle.sector_spectrum(ham_spec)
         circuit = build_circuit(cfg)
         n = ham_spec.num_qudits
         psi0 = basis_state(n, cfg.model.local_dim, [1] * n)
         ops = model_mod.fermion_number_ops(ham_spec.lattice, cfg.model.electric_offset)
         n_diags = np.stack([lift_diagonal(op, n).real for op in ops])
-        return cls(ham_spec, ham, spectrum, circuit, psi0, n_diags, entropy_cut(cfg))
+        return cls(ham_spec, spectrum, circuit, psi0, n_diags, entropy_cut(cfg))
 
 
 def _make_estimator(cfg: RunConfig, ctx: RunContext):
     mode = cfg.estimator.mode
     if mode == "exact":
         def est(theta, kind):
-            return exact_eom(ctx.circuit, theta, ctx.ham, ctx.psi0, kind)
+            return exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
 
         return est
     from . import measure  # deferred: measure depends on model/ansatz only
@@ -286,7 +290,7 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
 
     def energy_of(th):
         amp = ctx.circuit.state(th, ctx.psi0).amplitudes
-        return float(np.vdot(amp, ctx.ham @ amp).real)
+        return float(np.vdot(amp, ctx.spectrum @ amp).real)
 
     records: list[TrajectoryRecord] = []
     tau = 0.0

@@ -269,6 +269,47 @@ class TestInfoCommand:
         assert "entangling gates: 8" in text
 
 
+MATRIX_FREE_MODELS = {
+    "chain": ({"dimension": 1, "num_links": 3}, {"family": "chain", "layers": 1, "init_seed": 1}),
+    "plaquette": ({"dimension": 2, "num_links": 4}, {"family": "plaquette", "layers": 1, "init_seed": 1}),
+}
+MATRIX_FREE_RUNS = [
+    ("ground", "vite", "exact"),
+    ("ground", "vite", "shift"),
+    ("ground", "vite", "hadamard"),
+    ("quench", "vrte", "exact"),
+    ("quench", "vrte", "randomized"),
+    ("exact", "vrte", "exact"),
+    ("measure-check", "vite", "exact"),
+    ("info", "vite", "exact"),
+]
+
+
+class TestMatrixFreeRunPath:
+    """Every command runs without the dense Hamiltonian or its dense eigensolve."""
+
+    @pytest.mark.parametrize("model_name", sorted(MATRIX_FREE_MODELS))
+    @pytest.mark.parametrize("command,mode,estimator", MATRIX_FREE_RUNS, ids=["-".join(r[::2]) for r in MATRIX_FREE_RUNS])
+    def test_exits_0_without_dense_matrix(self, tmp_path, monkeypatch, model_name, command, mode, estimator):
+        from quditgauge import model, oracle
+
+        def refuse(ham):
+            raise AssertionError("dense Hamiltonian built")
+
+        monkeypatch.setattr(model, "materialize", refuse)
+        monkeypatch.setattr(oracle, "eigendecompose", refuse)
+        model_cfg, ansatz_cfg = MATRIX_FREE_MODELS[model_name]
+        data = {
+            "model": model_cfg,
+            "ansatz": ansatz_cfg,
+            "evolution": {"mode": mode, "dt": 0.02, "steps": 1 if estimator == "randomized" else 2, "integrator": "euler"},
+            "estimator": {"mode": estimator, "samples": 2},
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        args = [command, "--config", str(cfg_path)]
+        assert main(args if command == "info" else args + ["--out", str(tmp_path / "o")]) == 0
+
+
 class TestErrorPaths:
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, "c.json", {"model": {"what": 1}})
@@ -314,26 +355,26 @@ class TestErrorPaths:
         assert main(["ground", "--config", str(cfg_path), "--seed", "-2", "--out", str(tmp_path / "o")]) == 2
 
     def test_measure_check_rejects_large_model_before_building_it(self, tmp_path, monkeypatch):
-        from quditgauge import model, varsim
+        from quditgauge import model, oracle
 
         def refuse(ham):
-            raise AssertionError("materialize called")
+            raise AssertionError("dense Hamiltonian built")
 
         monkeypatch.setattr(model, "materialize", refuse)
-        monkeypatch.setattr(varsim, "materialize", refuse)
+        monkeypatch.setattr(oracle, "eigendecompose", refuse)
         data = {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 1}}
         cfg_path = write_config(tmp_path, "c.json", data)
         assert main(["measure-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
     def test_randomized_dimension_limit_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        from quditgauge import model, varsim
+        from quditgauge import model, oracle
 
         def refuse(ham):
-            raise AssertionError("materialize called")
+            raise AssertionError("dense Hamiltonian built")
 
         monkeypatch.setattr(model, "materialize", refuse)
-        monkeypatch.setattr(varsim, "materialize", refuse)
+        monkeypatch.setattr(oracle, "eigendecompose", refuse)
         data = {
             "model": {"dimension": 1, "num_links": 5},
             "ansatz": {"family": "chain", "layers": 1},

@@ -126,6 +126,42 @@ class TestPlans:
         assert np.allclose(np.sort(plan.frequencies), np.sort(-plan.frequencies))
 
 
+    def test_estimator_plans_each_slot_set_once(self, monkeypatch):
+        # one shift-route estimator plans the 8 slots and 28 slot pairs of the
+        # L=3 N=1 chain once, over every theta and every per-step shot seed
+        cfg = parse_config(
+            {
+                "model": {"dimension": 1, "num_links": 3},
+                "ansatz": {"family": "chain", "layers": 1},
+                "estimator": {"mode": "shift", "shots": 200},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        planned = []
+        original = measure._frequencies
+
+        def counted(circuit, slots):
+            planned.append(slots)
+            return original(circuit, slots)
+
+        monkeypatch.setattr(measure, "_frequencies", counted)
+        est = measure.make_estimator(cfg.estimator, ctx)
+        rng = np.random.default_rng(45)
+        for _ in range(2):
+            est(rng.uniform(-1, 1, ctx.circuit.num_params), "imag")
+        assert len(planned) == len(set(planned)) == 8 + 28
+
+    def test_plan_off_the_grids_is_drawn_from_each_seed(self, monkeypatch):
+        # when neither fixed grid is full rank, every call draws its points from its own seed
+        monkeypatch.setattr(measure, "_grid_plan", lambda freqs: None)
+        plans = measure.ShiftPlans(chain_circuit(3, 1, "imag"))
+        freqs = plans((2,), 0).frequencies
+        gap = np.min(np.diff(freqs))
+        for seed in (0, 7, 0):
+            want = np.sort(np.random.default_rng(seed).uniform(-np.pi, np.pi, len(freqs))) / gap
+            assert np.array_equal(plans((2,), seed).points, want)
+
+
 class TestFourierFit:
     def test_constant(self):
         circ = chain_circuit(3, 1, "imag")
@@ -409,7 +445,7 @@ class TestHadamardEstimator:
             eom = est(theta, kind)
             assert calls["sweep"] - before["sweep"] == 1, kind
             assert calls["state"] == 0, kind
-            exact = exact_eom(ctx.circuit, theta, ctx.ham, ctx.psi0, kind)
+            exact = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
             assert np.max(np.abs(eom.m - exact.m)) < 1e-12
             assert np.max(np.abs(eom.v - exact.v)) < 1e-12
             assert np.max(np.abs(eom.psi.amplitudes - exact.psi.amplitudes)) < 1e-14

@@ -17,6 +17,11 @@ and calls no ``hadamard_test``, and the traced wrappers must accept it.
 One shift-route estimator call there simulates each state it reads once
 through the traced ``Circuit.state``: the base state and each distinct
 (slot, shift) state, at most 401 where a simulation per sample took 1,097.
+Set-up is pinned too: the run context of the L=7 N=3 chain builds its
+spectrum from the Hamiltonian's sectors, with no traced ``model.materialize``
+or ``oracle.eigendecompose`` call, and the process peaks below 200 MB (the
+dense matrix, its eigenvectors and the ``eigh`` workspace took it to about
+376 MB).
 """
 import json
 import subprocess
@@ -70,6 +75,24 @@ SHIFT_EOM = HADAMARD_EOM.replace('"mode": "hadamard"', '"mode": "shift"').replac
 )
 
 
+SETUP_L7 = """
+import json
+from child import peak_rss_kb
+from quditgauge.config import parse_config
+from quditgauge.varsim import RunContext
+cfg = parse_config({
+    "model": {"dimension": 1, "num_links": 7, "g": 1.0, "mass": 0.1},
+    "ansatz": {"family": "chain", "layers": 3, "init_seed": 1},
+})
+RunContext.from_config(cfg)
+print(json.dumps({
+    "setup": tracer.calls.get("setup", 0),
+    "dense": [tracer.calls.get(name, 0) for name in ("model.materialize", "oracle.eigendecompose")],
+    "peak_rss_mb": peak_rss_kb() / 1024,
+}))
+"""
+
+
 def run_traced(extra: str = "") -> subprocess.CompletedProcess:
     code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"), extra=extra)
     # -B: write no bytecode next to the benchmark's files
@@ -110,3 +133,12 @@ def test_shift_eom_simulates_each_state_once():
     assert result["params"] == 8
     assert 0 < result["states"] <= 401
     assert result["hadamard_tests"] == 0
+
+
+def test_l7_setup_builds_no_dense_matrix_and_stays_small():
+    proc = run_traced(SETUP_L7)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["setup"] == 1
+    assert result["dense"] == [0, 0]
+    assert result["peak_rss_mb"] < 200

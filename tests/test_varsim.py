@@ -289,17 +289,48 @@ class TestGroundSearch:
             assert r.site_numbers.shape == (4,)
             assert np.isfinite(r.energy)
 
-    def test_degenerate_ground_fidelity_is_ground_space_weight(self):
+    @staticmethod
+    def _check_degenerate_ground(second_level):
+        """Lower one more eigenvalue onto E0 and compare each row's fidelity with the ground-space weight.
+
+        ``second_level(ground_class, ground_block)`` picks the (class, block,
+        column) of the lowered eigenvalue; the ground space is then spanned
+        by the two eigenvectors read straight off their blocks.
+        """
         cfg = small_vite_config(evolution=EvolutionConfig(mode="vite", dt=0.05, steps=3))
         ctx = RunContext.from_config(cfg)
-        w = ctx.spectrum.eigenvalues.copy()
-        w[1] = w[0]  # make the ground space two-dimensional
-        ctx.spectrum = Spectrum(w, ctx.spectrum.eigenvectors)
+        spec = ctx.spectrum
+        ground = [
+            (c, int(n), 0) for c, cls in enumerate(spec.classes) for n in np.flatnonzero(cls.eigenvalues[:, 0] == spec.ground_energy)
+        ]
+        assert len(ground) == 1
+        classes, vectors = list(spec.classes), []
+        for c, n, j in (ground[0], second_level(*ground[0][:2])):
+            w = classes[c].eigenvalues.copy()
+            w[n, j] = spec.ground_energy
+            classes[c] = dataclasses.replace(classes[c], eigenvalues=w)
+            vec = np.zeros(spec.dim, dtype=complex)
+            vec[classes[c].indices[n]] = classes[c].eigenvectors[n, :, j]
+            vectors.append(vec)
+        ctx.spectrum = Spectrum(classes)
+        assert ctx.spectrum.ground_multiplicity() == 2
         recs, _ = run_ground_search(cfg, ctx)
-        ground = ctx.spectrum.eigenvectors[:, :2]
+        ground_space = np.stack(vectors, axis=1)
         for r in recs:
             amp = ctx.circuit.state(r.theta, ctx.psi0).amplitudes
-            assert r.fidelity == pytest.approx(np.sum(np.abs(ground.conj().T @ amp) ** 2), abs=1e-12)
+            assert r.fidelity == pytest.approx(np.sum(np.abs(ground_space.conj().T @ amp) ** 2), abs=1e-12)
+
+    def test_degenerate_ground_fidelity_is_ground_space_weight(self):
+        # the ground block's second level joins the ground space
+        self._check_degenerate_ground(lambda c, n: (c, n, 1))
+
+    def test_degenerate_ground_across_two_sectors(self):
+        # the first block of the smallest size, a sector apart from the ground's, joins it
+        def other_sector(c, n):
+            assert (c, n) != (0, 0)
+            return (0, 0, 0)
+
+        self._check_degenerate_ground(other_sector)
 
     def test_one_sweep_per_row_and_one_state_per_candidate(self, monkeypatch):
         calls = {"tangents": 0, "state": 0}
