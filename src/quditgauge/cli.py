@@ -187,8 +187,8 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     v_real = varsim.real_time_vector(circuit, theta, ctx.spectrum, psi0)
     route = measure.hadamard_plan(circuit)
     plans = measure.ShiftPlans(circuit)
-    _, sh_m, sh_v = measure.shift_eom(circuit, theta, psi0, ctx.spectrum, plans=plans)
-    _, sh_m_s, sh_v_s = measure.shift_eom(circuit, theta, psi0, ctx.spectrum, shots, seed, plans)
+    _, sh_m, sh_v = measure.shift_eom(plans, theta, psi0, ctx.spectrum)
+    _, sh_m_s, sh_v_s = measure.shift_eom(plans, theta, psi0, ctx.spectrum, shots, seed)
     _, ha_m, ha_v = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"))
     _, ha_m_s, ha_v_s = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"), shots, seed)
     npar = circuit.num_params

@@ -131,10 +131,11 @@ def _drawn_plan(freqs: np.ndarray, seed: int) -> ShiftPlan:
 
 
 class ShiftPlans:
-    """``plan_shifts`` for one circuit, planning each slot or slot pair once.
+    """Frequency set and full-rank evaluation points for each overlap function of one circuit.
 
-    A plan reads the seed only when neither fixed grid is full rank; only
-    those plans are drawn again, from the seed of each call.
+    ``plans(slots, seed)`` plans a slot or slot pair once.  A plan reads the
+    seed only when neither fixed grid is full rank; only those plans are
+    drawn again, from the seed of each call.
     """
 
     def __init__(self, circuit: Circuit):
@@ -148,11 +149,6 @@ class ShiftPlans:
             self._grid[slots] = (freqs, _grid_plan(freqs))
         freqs, plan = self._grid[slots]
         return plan if plan is not None else _drawn_plan(freqs, seed)
-
-
-def plan_shifts(circuit: Circuit, slots: Sequence[int], seed: int = 0) -> ShiftPlan:
-    """Frequency set and full-rank evaluation points for one overlap function."""
-    return ShiftPlans(circuit)(slots, seed)
 
 
 def fit_fourier(plan: ShiftPlan, values: Sequence[float]) -> np.ndarray:
@@ -215,13 +211,12 @@ class ShiftTable:
 
 
 def shift_eom(
-    circuit: Circuit,
+    plans: ShiftPlans,
     theta,
     psi0: QuditRegister,
     spectrum: Spectrum,
     shots: int | None = None,
     seed: int = 0,
-    plans: ShiftPlans | None = None,
 ) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
     """State, metric and energy gradient from samples at shifted parameters.
 
@@ -232,10 +227,10 @@ def shift_eom(
     slope of the fitted energy curve.  Every sample reads one
     ``ShiftTable``.  With shots, one generator draws the whole metric
     (curvatures first, then the pairs row by row) and each gradient slot
-    draws from a fresh one.  ``plans`` carries the plans over from earlier
-    calls on the same circuit.
+    draws from a fresh one.  ``plans`` holds the circuit and carries its
+    plans over from earlier calls.
     """
-    plans = plans or ShiftPlans(circuit)
+    circuit = plans.circuit
     table = ShiftTable(circuit, theta, psi0)
     npar = circuit.num_params
 
@@ -488,7 +483,7 @@ def make_estimator(est_cfg, ctx):
             if kind != "imag":
                 raise ValueError("the shift route provides the metric and dE/dtheta only")
             seed = _seed() if est_cfg.shots is not None else 0
-            return _pack(*shift_eom(circuit, theta, psi0, ctx.spectrum, est_cfg.shots, seed, plans))
+            return _pack(*shift_eom(plans, theta, psi0, ctx.spectrum, est_cfg.shots, seed))
 
         return est
 

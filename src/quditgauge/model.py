@@ -454,7 +454,11 @@ def hamiltonian_unitary_pieces(ham: HamiltonianSpec) -> list[tuple[float, LocalO
 
 
 def materialize(ham: HamiltonianSpec) -> np.ndarray:
-    """Dense matrix of the full Hamiltonian: a test oracle for `oracle.sector_spectrum`, which the run path uses."""
+    """Dense matrix of the full Hamiltonian.
+
+    The run path uses `oracle.sector_spectrum`; this build is the independent
+    reference the tests and the fixture bootstrap check it against.
+    """
     n = ham.num_qudits
     d = ham.lattice.local_dim
     dim = d**n

@@ -110,33 +110,40 @@ class Spectrum:
         return float(np.sum(self.weights(psi)[: self.ground_multiplicity()]))
 
 
+def _offsets(d: int, qudits: Sequence[int]) -> np.ndarray:
+    """Global index of every configuration of ``qudits``, qudits[0] most significant, the rest at level 0."""
+    out = np.zeros(1, dtype=np.int64)
+    for q in qudits:
+        out = (out[:, None] + d**q * np.arange(d)).ravel()
+    return out
+
+
 def _entries(ham: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global (row, col, value) of every nonzero of H.
 
     The single-qudit diagonal terms (electric and mass) come first, summed
-    per qudit and lifted in one gather into one entry per basis state; then
-    every other term's nonzero local entries, in term order.  A local index
-    puts targets[0] most significant; a global index is little-endian.
+    per qudit and broadcast into one entry per basis state; then every other
+    term's nonzero local entries, in term order.  A local index puts
+    targets[0] most significant; a global index is little-endian.
     """
     n, d = ham.num_qudits, ham.lattice.local_dim
-    dim = d**n
-    digits = (np.arange(dim) // d ** np.arange(n)[:, None]) % d  # digits[q, r]: level of qudit q in state r
     on_site = np.zeros((n, d), dtype=complex)
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], []
+    rows, cols, vals = [np.arange(d**n)], [np.arange(d**n)], []
     for coef, op in ham.terms:
         i, j = np.nonzero(op.matrix)
         if len(op.targets) == 1 and (i == j).all():
-            on_site[op.targets[0]] += coef * np.diag(op.matrix)
+            on_site[op.targets[0]] += coef * op.matrix.diagonal()
             continue
-        targets, shape = list(op.targets), (d,) * len(op.targets)
-        # Every state with its targets at level 0, and the global offset of each local configuration.
-        rest = np.flatnonzero(np.ravel_multi_index(digits[targets], shape) == 0)
-        offset = (d ** np.array(targets)[:, None] * np.unravel_index(np.arange(d ** len(targets)), shape)).sum(axis=0)
+        # Every state with the targets at level 0, plus the offset of each local configuration.
+        rest = _offsets(d, [q for q in range(n) if q not in op.targets])
+        offset = _offsets(d, op.targets)
         rows.append((rest[:, None] + offset[i]).ravel())
         cols.append((rest[:, None] + offset[j]).ravel())
         vals.append((np.zeros((rest.size, 1)) + coef * op.matrix[i, j]).ravel())
-    diag = on_site[np.arange(n)[:, None], digits].sum(axis=0)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate([diag, *vals])
+    diag = np.zeros((d,) * n, dtype=complex)
+    for q in range(n):  # qudit q is axis n-1-q of the C-ordered state array
+        diag += on_site[q].reshape((d,) + (1,) * q)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate([diag.ravel(), *vals])
 
 
 def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

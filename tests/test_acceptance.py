@@ -13,6 +13,7 @@ from quditgauge.ansatz import chain_circuit, plaquette_circuit, random_initial_p
 from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig
 from quditgauge.core import LocalOperator, basis_state
 from quditgauge.measure import (
+    ShiftPlans,
     element_from_hadamard,
     randomized_connected_anticommutator,
     shift_eom,
@@ -261,7 +262,7 @@ class TestCriterion6EstimatorEquivalence:
                 m = metric_tensor(circ, theta, psi0)
                 vi = energy_gradient(circ, theta, ham, psi0)
                 vr = real_time_vector(circ, theta, ham, psi0)
-                _, m_shift, v_shift = shift_eom(circ, theta, psi0, spectrum)
+                _, m_shift, v_shift = shift_eom(ShiftPlans(circ), theta, psi0, spectrum)
                 if model_kind == "chain":
                     pairs = [(a, b) for a in range(npar) for b in range(a, npar)]
                     slots = list(range(npar))

@@ -358,10 +358,11 @@ class TestErrorPaths:
         from quditgauge import model, oracle
 
         def refuse(ham):
-            raise AssertionError("dense Hamiltonian built")
+            raise AssertionError("Hamiltonian built")
 
         monkeypatch.setattr(model, "materialize", refuse)
         monkeypatch.setattr(oracle, "eigendecompose", refuse)
+        monkeypatch.setattr(oracle, "sector_spectrum", refuse)
         data = {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 1}}
         cfg_path = write_config(tmp_path, "c.json", data)
         assert main(["measure-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -371,10 +372,11 @@ class TestErrorPaths:
         from quditgauge import model, oracle
 
         def refuse(ham):
-            raise AssertionError("dense Hamiltonian built")
+            raise AssertionError("Hamiltonian built")
 
         monkeypatch.setattr(model, "materialize", refuse)
         monkeypatch.setattr(oracle, "eigendecompose", refuse)
+        monkeypatch.setattr(oracle, "sector_spectrum", refuse)
         data = {
             "model": {"dimension": 1, "num_links": 5},
             "ansatz": {"family": "chain", "layers": 1},

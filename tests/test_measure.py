@@ -7,6 +7,7 @@ from quditgauge.ansatz import Circuit, chain_circuit, plaquette_circuit
 from quditgauge.config import parse_config
 from quditgauge.core import LocalOperator, QuditRegister, basis_state, embedded_pauli
 from quditgauge.measure import (
+    ShiftPlans,
     ShiftTable,
     element_from_hadamard,
     fit_fourier,
@@ -15,7 +16,6 @@ from quditgauge.measure import (
     hadamard_test,
     haar_unitary,
     heisenberg_generators,
-    plan_shifts,
     randomized_connected_anticommutator,
     shift_eom,
 )
@@ -87,7 +87,7 @@ class TestPlans:
         # grid of radius k
         circ = chain_circuit(3, 1, "imag")
         for mu in range(6):
-            plan = plan_shifts(circ, (mu,))
+            plan = ShiftPlans(circ)((mu,))
             k = len(circ.slot_positions(mu))
             want = np.arange(-2 * k, 2 * k + 1) * 0.5
             assert np.allclose(np.sort(plan.frequencies), want)
@@ -99,7 +99,7 @@ class TestPlans:
 
         gen = ms_generator(2, 0, 1)
         circ = Circuit((Gate("ms", (0, 1), 0, gen, (0, 1)),), 1, 2, 2, 1, "toy")
-        plan = plan_shifts(circ, (0,))
+        plan = ShiftPlans(circ)((0,))
         assert np.allclose(np.sort(plan.frequencies), [-1, 0, 1])
 
     def test_ms_slot_frequencies_qutrit_case(self):
@@ -110,19 +110,19 @@ class TestPlans:
 
         gen = ms_generator(3, 0, 1)
         circ = Circuit((Gate("ms", (0, 1), 0, gen, (0, 1)),), 1, 2, 3, 1, "toy")
-        plan = plan_shifts(circ, (0,))
+        plan = ShiftPlans(circ)((0,))
         assert np.allclose(np.sort(plan.frequencies), [-1, -0.75, -0.25, 0, 0.25, 0.75, 1])
 
     def test_design_full_rank(self):
         circ = plaquette_circuit(1, "imag")
         for slots in [(0,), (3,), (0, 3), (8, 9)]:
-            plan = plan_shifts(circ, slots)
+            plan = ShiftPlans(circ)(slots)
             assert np.linalg.cond(plan.design) < 1e8
             assert len(plan.points) == len(plan.frequencies)
 
     def test_pair_symmetry(self):
         circ = chain_circuit(3, 1, "imag")
-        plan = plan_shifts(circ, (0, 0))
+        plan = ShiftPlans(circ)((0, 0))
         assert np.allclose(np.sort(plan.frequencies), np.sort(-plan.frequencies))
 
 
@@ -165,7 +165,7 @@ class TestPlans:
 class TestFourierFit:
     def test_constant(self):
         circ = chain_circuit(3, 1, "imag")
-        plan = plan_shifts(circ, (0,))
+        plan = ShiftPlans(circ)((0,))
         coeffs = fit_fourier(plan, np.ones(len(plan.points)))
         nonzero = np.abs(coeffs) > 1e-9
         assert nonzero.sum() == 1
@@ -173,7 +173,7 @@ class TestFourierFit:
 
     def test_pure_cosine(self):
         circ = chain_circuit(3, 1, "imag")
-        plan = plan_shifts(circ, (0,))
+        plan = ShiftPlans(circ)((0,))
         vals = np.cos(plan.points)
         coeffs = fit_fourier(plan, vals)
         for freq, c in zip(plan.frequencies, coeffs):
@@ -187,7 +187,7 @@ class TestFourierFit:
         rng = np.random.default_rng(11)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
         mu = 2
-        plan = plan_shifts(circ, (mu,))
+        plan = ShiftPlans(circ)((mu,))
         table = ShiftTable(circ, theta, psi0)
         coeffs = fit_fourier(plan, table.overlaps(mu, None, plan.points))
         for a in rng.uniform(-2.0, 2.0, 20):
@@ -203,14 +203,14 @@ class TestMetricFromShifts:
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             m_exact = metric_tensor(circ, theta, psi0)
-            _, m, _ = shift_eom(circ, theta, psi0, spec)
+            _, m, _ = shift_eom(ShiftPlans(circ), theta, psi0, spec)
             for mu, nu in [(0, 0), (2, 2), (0, 1), (2, 5), (4, 7)]:
                 assert m[mu, nu] == pytest.approx(m_exact[mu, nu], abs=1e-8), (mu, nu)
 
     def test_full_matrix(self, small_chain):
         circ, ham, psi0 = small_chain
         theta = np.random.default_rng(14).uniform(-np.pi, np.pi, circ.num_params)
-        psi, got, _ = shift_eom(circ, theta, psi0, eigendecompose(ham))
+        psi, got, _ = shift_eom(ShiftPlans(circ), theta, psi0, eigendecompose(ham))
         want = metric_tensor(circ, theta, psi0)
         assert np.max(np.abs(got - want)) < 1e-8
         assert np.array_equal(psi.amplitudes, circ.state(theta, psi0).amplitudes)
@@ -224,7 +224,7 @@ class TestMetricFromShifts:
         rng = np.random.default_rng(15)
         psi = random_state(3, rng)
         reg = basis_state(1, 3, [0]).__class__(1, 3, psi)
-        _, m, _ = shift_eom(circ, np.array([0.2]), reg, eigendecompose(gen.matrix))
+        _, m, _ = shift_eom(ShiftPlans(circ), np.array([0.2]), reg, eigendecompose(gen.matrix))
         g = gen.matrix
         want = np.vdot(psi, g @ g @ psi).real - np.vdot(psi, g @ psi).real ** 2
         assert m[0, 0] == pytest.approx(want, abs=1e-9)
@@ -235,10 +235,8 @@ class TestMetricFromShifts:
         spec = eigendecompose(ham)
         theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
         exact = metric_tensor(circ, theta, psi0)[1, 1]
-        shots = 2000
-        draws = np.array(
-            [shift_eom(circ, theta, psi0, spec, shots=shots, seed=s)[1][1, 1] for s in range(100)]
-        )
+        shots, plans = 2000, ShiftPlans(circ)
+        draws = np.array([shift_eom(plans, theta, psi0, spec, shots=shots, seed=s)[1][1, 1] for s in range(100)])
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - exact) < 3 * se + 1e-12
 
@@ -251,7 +249,7 @@ class TestGradientFromShifts:
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             grad = energy_gradient(circ, theta, ham, psi0)
-            _, _, got = shift_eom(circ, theta, psi0, spec)
+            _, _, got = shift_eom(ShiftPlans(circ), theta, psi0, spec)
             for mu in range(circ.num_params):
                 assert got[mu] == pytest.approx(grad[mu], abs=1e-8), mu
 
@@ -259,7 +257,7 @@ class TestGradientFromShifts:
         circ, _, psi0 = small_chain
         spec = eigendecompose(np.eye(27, dtype=complex))
         theta = np.random.default_rng(18).uniform(-1, 1, circ.num_params)
-        assert shift_eom(circ, theta, psi0, spec)[2][0] == pytest.approx(0.0, abs=1e-10)
+        assert shift_eom(ShiftPlans(circ), theta, psi0, spec)[2][0] == pytest.approx(0.0, abs=1e-10)
 
     def test_error_scales_with_shots(self, small_chain):
         # slot 0's gradient as shift_eom reads it: a fresh generator per seed
@@ -268,7 +266,7 @@ class TestGradientFromShifts:
         theta = np.random.default_rng(19).uniform(-1, 1, circ.num_params)
         exact = energy_gradient(circ, theta, ham, psi0)[0]
         table = ShiftTable(circ, theta, psi0)
-        plan = plan_shifts(circ, (0,))
+        plan = ShiftPlans(circ)((0,))
 
         def gradient(shots, seed):
             samples = table.energies(0, plan.points, spec, shots, np.random.default_rng(seed))
