@@ -41,10 +41,7 @@ from .ansatz import Circuit, Gate, chain_circuit, plaquette_circuit, random_init
 from .varsim import (
     EomQuantities,
     TrajectoryRecord,
-    energy_gradient,
     integrate_step,
-    metric_tensor,
-    real_time_vector,
     run_ground_search,
     run_quench,
     solve_flow,

@@ -283,7 +283,7 @@ def _append_deep_blocks(gates, groups, edge_names, d, next_slot):
     return next_slot
 
 
-def chain_circuit(num_links: int, layers: int, mode: str, local_dim: int = 3) -> Circuit:
+def chain_circuit(num_links: int, layers: int, mode: str) -> Circuit:
     """Layered ansatz for the open chain.
 
     ``mode='imag'`` uses the three-rotation blocks, ``mode='real'`` the
@@ -294,7 +294,7 @@ def chain_circuit(num_links: int, layers: int, mode: str, local_dim: int = 3) ->
         raise ValueError("chain ansatz needs at least 3 links")
     if mode not in ("imag", "real"):
         raise ValueError(f"mode must be 'imag' or 'real', got {mode!r}")
-    d = local_dim
+    d = 3
     groups = _chain_groups(num_links)
     gates: list[Gate] = []
     next_slot = 0

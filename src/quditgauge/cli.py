@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fixtures, measure, model, oracle, varsim
+from . import __version__, fixtures, model, oracle, varsim
+from .ansatz import random_initial_params
 from .config import ConfigError, RunConfig, config_hash, load_config, validate_config
+from .core import QuditRegister, entanglement_entropy
 from .model import CapError
 
 EXIT_CONFIG = 2
@@ -153,8 +155,6 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
     nsites = ctx.n_diags.shape[0]
     header = ["step", "t", "energy"] + _site_headers(nsites) + ["entropy"]
     rows = []
-    from .core import QuditRegister, entanglement_entropy
-
     energy0 = float(np.vdot(ctx.psi0.amplitudes, ctx.spectrum @ ctx.psi0.amplitudes).real)
     for k in range(ev.steps + 1):
         t = k * ev.dt
@@ -170,28 +170,23 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
 
 def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     # Checked before the context builds the Hamiltonian and its spectrum.
-    if cfg.model.local_dim**cfg.model.num_links > 243:
+    if 3**cfg.model.num_links > 243:
         raise ConfigError("measure-check is meant for small models (L=3 or the plaquette)")
     ctx = varsim.RunContext.from_config(cfg)
     cfg_hash = config_hash(cfg)
     out = _out_dir(cfg, out_override)
-    circuit, psi0 = ctx.circuit, ctx.psi0
-    from .ansatz import random_initial_params
-
-    theta = random_initial_params(circuit, cfg.ansatz.init_seed, cfg.ansatz.init_range)
-    pieces = model.hamiltonian_unitary_pieces(ctx.ham_spec)
-    shots = cfg.estimator.shots or 10_000
-    seed = cfg.estimator.seed
-
-    exact = varsim.exact_eom(circuit, theta, ctx.spectrum, psi0, "imag")
-    v_real = varsim.real_time_vector(circuit, theta, ctx.spectrum, psi0)
-    route = measure.hadamard_plan(circuit)
-    plans = measure.ShiftPlans(circuit)
-    _, sh_m, sh_v = measure.shift_eom(plans, theta, psi0, ctx.spectrum)
-    _, sh_m_s, sh_v_s = measure.shift_eom(plans, theta, psi0, ctx.spectrum, shots, seed)
-    _, ha_m, ha_v = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"))
-    _, ha_m_s, ha_v_s = measure.hadamard_eom(circuit, route, theta, psi0, pieces, ("VI", "VR"), shots, seed)
+    circuit = ctx.circuit
     npar = circuit.num_params
+    theta = random_initial_params(circuit, cfg.ansatz.init_seed, cfg.ansatz.init_range)
+    shots = cfg.estimator.shots or 10_000
+    # One estimator per value column, called as a run with its route calls
+    # it; the shift route has no real-time vector.
+    imag, real = [], []
+    for mode, n in (("exact", None), ("shift", None), ("hadamard", None), ("shift", shots), ("hadamard", shots)):
+        est = varsim.make_estimator(dataclasses.replace(cfg.estimator, mode=mode, shots=n), ctx)
+        imag.append(est(theta, "imag"))
+        real.append(np.full(npar, np.nan) if mode == "shift" else est(theta, "real").v)
+    pieces = model.hamiltonian_unitary_pieces(ctx.ham_spec)
     header = [
         "kind",
         "mu",
@@ -206,7 +201,7 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     # each gate generator of a slot splits into u and u^dag
     tests = np.array([2 * len(circuit.slot_positions(mu)) for mu in range(npar)])
     mus, nus = np.triu_indices(npar)
-    slots, nan = np.arange(npar), np.full(npar, np.nan)
+    slots = np.arange(npar)
 
     def vector_rows(kind, *cols):
         return np.column_stack([np.full(npar, kind), slots, np.full(npar, -1), *cols, tests * len(pieces)])
@@ -215,11 +210,11 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
         [
             np.column_stack(
                 [np.zeros_like(mus), mus, nus]
-                + [a[mus, nus] for a in (exact.m, sh_m, ha_m, sh_m_s, ha_m_s)]
+                + [eom.m[mus, nus] for eom in imag]
                 + [tests[mus] * tests[nus]]
             ),
-            vector_rows(1, exact.v, sh_v, ha_v[0], sh_v_s, ha_v_s[0]),
-            vector_rows(2, v_real, nan, ha_v[1], nan, ha_v_s[1]),
+            vector_rows(1, *(eom.v for eom in imag)),
+            vector_rows(2, *real),
         ]
     )
     _write_csv(out / "measure_check.csv", header, rows, cfg_hash, cfg.output.precision)

@@ -21,7 +21,6 @@ class ConfigError(ValueError):
 class ModelConfig:
     dimension: int = 1
     num_links: int = 5
-    local_dim: int = 3
     g: float = 1.0
     mass: float = 0.1
     electric_offset: str = "symmetric"
@@ -46,7 +45,6 @@ class EvolutionConfig:
     steps: int = 2000
     integrator: str = "euler"  # euler | rk4
     cutoff: float = 1e-8
-    tikhonov: float = 0.0
     grad_tolerance: float = 1e-6
 
 
@@ -140,8 +138,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("model.num_links must be at least 3 for a chain")
     if m.dimension == 2 and m.num_links != 4:
         raise ConfigError("the plaquette model has exactly 4 links")
-    if m.local_dim != 3:
-        raise ConfigError("only the qutrit build (local_dim = 3) is supported")
     if abs(m.g) < 1e-12:
         raise ConfigError("model.g must be nonzero")
     a = cfg.ansatz
@@ -164,14 +160,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("evolution.steps must be positive")
     if not 0 <= e.cutoff < 1:
         raise ConfigError("evolution.cutoff must lie in [0, 1): a cutoff of 1 drops every direction")
-    if e.tikhonov < 0:
-        raise ConfigError("evolution.tikhonov must be nonnegative")
     est = cfg.estimator
     if est.shots is not None and est.shots < 1:
         raise ConfigError("estimator.shots must be >= 1 when set")
     if est.samples < 1:
         raise ConfigError("estimator.samples must be positive")
-    if est.mode == "randomized" and m.local_dim**m.num_links > RANDOMIZED_MAX_DIM:
+    if est.mode == "randomized" and 3**m.num_links > RANDOMIZED_MAX_DIM:
         raise ConfigError(f"the randomized estimator is limited to dimension <= {RANDOMIZED_MAX_DIM}")
     if est.mode == "randomized" and cfg.evolution.mode == "vite":
         raise ConfigError("the randomized estimator only provides anticommutators (vrte)")

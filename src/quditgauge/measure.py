@@ -18,9 +18,10 @@ Three routes are provided besides exact linear algebra:
   third moments of Haar-random expectation values, over Heisenberg
   generators read off one tangent sweep per basis state.
 
-All estimators accept an optional shot count; with shots set, every
-elementary probability is replaced by a binomial draw and every energy
-readout by sampling the Hamiltonian spectrum.
+Each route returns (psi, M, v) at one theta; ``varsim.make_estimator``
+picks it.  With shots set, one generator per call replaces every elementary
+probability by a binomial draw and every energy readout by sampling the
+Hamiltonian spectrum, in a fixed order.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from .ansatz import Circuit, RowPlan
 from .config import RANDOMIZED_MAX_DIM
 from .core import LocalOperator, QuditRegister, apply, inner
-from .model import hamiltonian_unitary_pieces, unitary_split
+from .model import unitary_split
 from .oracle import Spectrum
 
 MAX_PLAN_TRIES = 64
@@ -152,14 +153,11 @@ class ShiftPlans:
 
 
 def fit_fourier(plan: ShiftPlan, values: Sequence[float]) -> np.ndarray:
-    """Solve the linear system for the Fourier coefficients."""
+    """Solve the linear system for the Fourier coefficients (every plan has one point per frequency)."""
     values = np.asarray(values, dtype=float)
     if values.shape != plan.points.shape:
         raise ValueError("one sample per evaluation point is required")
-    if plan.design.shape[0] == plan.design.shape[1]:
-        return np.linalg.solve(plan.design, values.astype(complex))
-    coeffs, *_ = np.linalg.lstsq(plan.design, values.astype(complex), rcond=None)
-    return coeffs
+    return np.linalg.solve(plan.design, values.astype(complex))
 
 
 def fourier_value(plan: ShiftPlan, coeffs: np.ndarray, a: float) -> float:
@@ -225,27 +223,24 @@ def shift_eom(
     overlap of psi(theta + a e_mu) with psi(theta) and f_munu that of
     psi(theta + a e_mu) with psi(theta + a e_nu); dE/dtheta_mu is the
     slope of the fitted energy curve.  Every sample reads one
-    ``ShiftTable``.  With shots, one generator draws the whole metric
-    (curvatures first, then the pairs row by row) and each gradient slot
-    draws from a fresh one.  ``plans`` holds the circuit and carries its
-    plans over from earlier calls.
+    ``ShiftTable``.  With shots, one generator seeded by ``seed`` draws
+    every sample: each slot's curvature and then its energies, then the
+    pairs row by row.  ``plans`` holds the circuit and carries its plans
+    over from earlier calls.
     """
     circuit = plans.circuit
     table = ShiftTable(circuit, theta, psi0)
     npar = circuit.num_params
-
-    def fresh_rng():
-        return np.random.default_rng(seed) if shots is not None else None
+    rng = np.random.default_rng(seed) if shots is not None else None
 
     def derivative(plan, samples, order):
         return fourier_derivative(plan, fit_fourier(plan, samples), order)
 
-    rng = fresh_rng()
     d2p, v = np.empty(npar), np.empty(npar)
     for mu in range(npar):
         plan = plans((mu,), seed)
         d2p[mu] = derivative(plan, table.overlaps(mu, None, plan.points, shots, rng), 2)
-        v[mu] = derivative(plan, table.energies(mu, plan.points, spectrum, shots, fresh_rng()), 1)
+        v[mu] = derivative(plan, table.energies(mu, plan.points, spectrum, shots, rng), 1)
     m = np.diag(-0.5 * d2p)
     for mu in range(npar):
         for nu in range(mu + 1, npar):
@@ -332,9 +327,8 @@ def _slot_pieces(circuit: Circuit, coefs: np.ndarray, mu: int):
     return np.repeat(coefs[pos], 2), own, own ^ 1
 
 
-def _element(kind: str, circuit: Circuit, words: _Words, mu: int, nu, shots, seed) -> float:
+def _element(kind: str, circuit: Circuit, words: _Words, mu: int, nu, shots, rng) -> float:
     """One element from its Hadamard tests, drawn in the order: pair words, then single words."""
-    rng = np.random.default_rng(seed) if shots is not None else None
     c_left, own_left, dag_left = _slot_pieces(circuit, words.coefs, mu)
     if kind == "M":
         c_right, own_right, _ = _slot_pieces(circuit, words.coefs, nu)
@@ -379,7 +373,8 @@ def element_from_hadamard(
     else:
         raise ValueError(f"unknown element kind {kind!r}")
     words = _read_words(circuit, *hadamard_plan(circuit), theta, psi0, ham_pieces or ())
-    return _element(kind, circuit, words, mu, nu, shots, seed)
+    rng = np.random.default_rng(seed) if shots is not None else None
+    return _element(kind, circuit, words, mu, nu, shots, rng)
 
 
 def hadamard_eom(
@@ -388,23 +383,27 @@ def hadamard_eom(
     theta,
     psi0: QuditRegister,
     ham_pieces: Sequence[tuple[float, LocalOperator]],
-    kinds: Sequence[str],
+    kind: str,
     shots: int | None = None,
     seed: int = 0,
-) -> tuple[QuditRegister, np.ndarray, list[np.ndarray]]:
-    """State, metric and one vector per kind ('VI' or 'VR') from one stage sweep.
+) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
+    """State, metric and the vector of ``kind`` ('imag': VI, 'real': VR) from one stage sweep.
 
-    ``route`` is ``hadamard_plan(circuit)``.  Each element draws its shots
-    from a fresh generator, as ``element_from_hadamard`` does.
+    ``route`` is ``hadamard_plan(circuit)``.  With shots, one generator draws
+    the metric's upper triangle row by row, then the vector.
     """
+    labels = {"imag": "VI", "real": "VR"}
+    if kind not in labels:
+        raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
     words = _read_words(circuit, *route, theta, psi0, ham_pieces)
+    rng = np.random.default_rng(seed) if shots is not None else None
     npar = circuit.num_params
     m = np.zeros((npar, npar))
     for mu in range(npar):
         for nu in range(mu, npar):
-            m[mu, nu] = m[nu, mu] = _element("M", circuit, words, mu, nu, shots, seed)
-    vs = [np.array([_element(k, circuit, words, mu, None, shots, seed) for mu in range(npar)]) for k in kinds]
-    return words.psi, m, vs
+            m[mu, nu] = m[nu, mu] = _element("M", circuit, words, mu, nu, shots, rng)
+    v = np.array([_element(labels[kind], circuit, words, mu, None, shots, rng) for mu in range(npar)])
+    return words.psi, m, v
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -461,67 +460,26 @@ def heisenberg_generators(circuit: Circuit, theta) -> tuple[np.ndarray, np.ndarr
     return u, np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
-def make_estimator(est_cfg, ctx):
-    """Driver hook: (theta, kind) -> EomQuantities through the selected route."""
-    from .varsim import EomQuantities  # deferred to avoid an import cycle
+def randomized_eom(
+    circuit: Circuit, theta, psi0: QuditRegister, spectrum: Spectrum, samples: int, seed: int
+) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
+    """State, metric and real-time vector from global random unitaries.
 
-    circuit, psi0 = ctx.circuit, ctx.psi0
-    counter = {"step": 0}
-
-    def _seed() -> int:
-        counter["step"] += 1
-        return int(np.random.SeedSequence([est_cfg.seed, counter["step"]]).generate_state(1)[0])
-
-    def _pack(psi, m, v):
-        amp = psi.amplitudes
-        return EomQuantities(m, v, psi, float(np.vdot(amp, ctx.spectrum @ amp).real))
-
-    if est_cfg.mode == "shift":
-        plans = ShiftPlans(circuit)
-
-        def est(theta, kind):
-            if kind != "imag":
-                raise ValueError("the shift route provides the metric and dE/dtheta only")
-            seed = _seed() if est_cfg.shots is not None else 0
-            return _pack(*shift_eom(plans, theta, psi0, ctx.spectrum, est_cfg.shots, seed))
-
-        return est
-
-    if est_cfg.mode == "hadamard":
-        pieces = hamiltonian_unitary_pieces(ctx.ham_spec)
-        route = hadamard_plan(circuit)
-
-        def est(theta, kind):
-            seed = _seed() if est_cfg.shots is not None else 0
-            label = "VI" if kind == "imag" else "VR"
-            psi, m, (v,) = hadamard_eom(circuit, route, theta, psi0, pieces, (label,), est_cfg.shots, seed)
-            return _pack(psi, m, v)
-
-        return est
-
-    if est_cfg.mode == "randomized":
-        def est(theta, kind):
-            if kind != "real":
-                raise ValueError("the randomized route only provides anticommutators")
-            rng = np.random.default_rng(_seed())
-            npar = circuit.num_params
-            u, gens = heisenberg_generators(circuit, theta)
-            h_tilde = u.conj().T @ (ctx.spectrum @ u)
-            amps = psi0.amplitudes
-            m = np.zeros((npar, npar))
-            for mu in range(npar):
-                for nu in range(mu, npar):
-                    m[mu, nu] = m[nu, mu] = 0.5 * randomized_connected_anticommutator(
-                        gens[mu], gens[nu], amps, est_cfg.samples, rng
-                    )
-            v = np.array(
-                [
-                    randomized_connected_anticommutator(gens[mu], h_tilde, amps, est_cfg.samples, rng)
-                    for mu in range(npar)
-                ]
+    Each element averages its own ``samples`` Haar draws, all from one
+    generator: the metric's upper triangle row by row, then the vector.
+    """
+    rng = np.random.default_rng(seed)
+    npar = circuit.num_params
+    u, gens = heisenberg_generators(circuit, theta)
+    h_tilde = u.conj().T @ (spectrum @ u)
+    amps = psi0.amplitudes
+    m = np.zeros((npar, npar))
+    for mu in range(npar):
+        for nu in range(mu, npar):
+            m[mu, nu] = m[nu, mu] = 0.5 * randomized_connected_anticommutator(
+                gens[mu], gens[nu], amps, samples, rng
             )
-            return _pack(circuit.state(theta, psi0), m, v)
-
-        return est
-
-    raise ValueError(f"unknown estimator mode {est_cfg.mode!r}")
+    v = np.array(
+        [randomized_connected_anticommutator(gens[mu], h_tilde, amps, samples, rng) for mu in range(npar)]
+    )
+    return circuit.state(theta, psi0), m, v

@@ -1,4 +1,4 @@
-"""McLachlan metric/vector computation and the imaginary-/real-time drivers.
+"""McLachlan metric/vector computation, the estimator routes' factory, and the drivers.
 
 Flow conventions, fixed once by requiring energy descent (imaginary time)
 and reproduction of exact single-generator evolution (real time) with the
@@ -9,15 +9,16 @@ metric normalized as the real part of the quantum geometric tensor:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import measure, oracle
 from . import model as model_mod
-from . import oracle
 from .ansatz import Circuit, chain_circuit, plaquette_circuit, random_initial_params
-from .config import EvolutionConfig, RunConfig
+from .config import EstimatorConfig, EvolutionConfig, RunConfig
 from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, lift_diagonal
 from .model import DIM_CAP, CapError, HamiltonianSpec
 
@@ -83,31 +84,15 @@ def exact_eom(
     return EomQuantities(m, v, psi, energy)
 
 
-def metric_tensor(circuit: Circuit, theta, psi0: QuditRegister) -> np.ndarray:
-    """Real part of the quantum geometric tensor on the variational manifold."""
-    return exact_eom(circuit, theta, None, psi0, "imag").m
-
-
-def energy_gradient(circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum, psi0: QuditRegister) -> np.ndarray:
-    """dE/dtheta = 2 Re <d_mu psi | H | psi>."""
-    return exact_eom(circuit, theta, ham, psi0, "imag").v
-
-
-def real_time_vector(circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum, psi0: QuditRegister) -> np.ndarray:
-    """Flow vector for real-time evolution, including the global-phase correction."""
-    return exact_eom(circuit, theta, ham, psi0, "real").v
-
-
 def solve_flow(
     m: np.ndarray,
     v: np.ndarray,
     cutoff: float = 1e-8,
-    tikhonov: float = 0.0,
 ) -> tuple[np.ndarray, SolveInfo]:
     """Least-squares solve of M theta_dot = v by spectral pseudo-inversion.
 
     Eigendirections below ``cutoff`` times the largest eigenvalue are
-    discarded; an optional Tikhonov shift is applied first.
+    discarded.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -115,8 +100,6 @@ def solve_flow(
         raise ValueError(f"shape mismatch: M is {m.shape}, v has {v.size} entries")
     check_hermitian(m, "metric", rtol=1e-8)
     sym = (m + m.T) / 2.0
-    if tikhonov > 0.0:
-        sym = sym + tikhonov * np.eye(v.size)
     w, q = np.linalg.eigh(sym)
     eig_min, eig_max = float(w[0]), float(w[-1])
     keep = w >= cutoff * max(eig_max, 0.0)
@@ -168,7 +151,7 @@ def build_circuit(cfg: RunConfig) -> Circuit:
     a = cfg.ansatz
     mode = "imag" if cfg.evolution.mode == "vite" else "real"
     if a.family == "chain":
-        return chain_circuit(cfg.model.num_links, a.layers, mode, cfg.model.local_dim)
+        return chain_circuit(cfg.model.num_links, a.layers, mode)
     return plaquette_circuit(
         a.layers,
         mode,
@@ -205,29 +188,61 @@ class RunContext:
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "RunContext":
-        dim = cfg.model.local_dim**cfg.model.num_links
+        dim = 3**cfg.model.num_links  # one qutrit per link
         if dim > DIM_CAP:
             raise CapError(f"dimension {dim} exceeds the cap {DIM_CAP}")
         ham_spec = build_hamiltonian(cfg)
         spectrum = oracle.sector_spectrum(ham_spec)
         circuit = build_circuit(cfg)
         n = ham_spec.num_qudits
-        psi0 = basis_state(n, cfg.model.local_dim, [1] * n)
+        psi0 = basis_state(n, 3, [1] * n)
         ops = model_mod.fermion_number_ops(ham_spec.lattice, cfg.model.electric_offset)
         n_diags = np.stack([lift_diagonal(op, n).real for op in ops])
         return cls(ham_spec, spectrum, circuit, psi0, n_diags, entropy_cut(cfg))
 
 
-def _make_estimator(cfg: RunConfig, ctx: RunContext):
-    mode = cfg.estimator.mode
-    if mode == "exact":
-        def est(theta, kind):
-            return exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
+def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
+    """(theta, kind) -> EomQuantities through the route ``est_cfg.mode`` selects.
 
-        return est
-    from . import measure  # deferred: measure depends on model/ansatz only
+    A shot call and every randomized call draw from the next seed of
+    SeedSequence([est_cfg.seed, call]); a noiseless call reads seed 0.
+    Route set-up runs here, in the driver, not in ``RunContext.from_config``.
+    """
+    circuit, psi0, spectrum, shots = ctx.circuit, ctx.psi0, ctx.spectrum, est_cfg.shots
+    calls = itertools.count(1)
 
-    return measure.make_estimator(cfg.estimator, ctx)
+    def seed(noisy: bool) -> int:
+        return int(np.random.SeedSequence([est_cfg.seed, next(calls)]).generate_state(1)[0]) if noisy else 0
+
+    if est_cfg.mode == "exact":
+        return lambda theta, kind: exact_eom(circuit, theta, spectrum, psi0, kind)
+    if est_cfg.mode == "shift":
+        plans = measure.ShiftPlans(circuit)
+
+        def route(theta, kind):
+            if kind != "imag":
+                raise ValueError("the shift route provides the metric and dE/dtheta only")
+            return measure.shift_eom(plans, theta, psi0, spectrum, shots, seed(shots is not None))
+    elif est_cfg.mode == "hadamard":
+        pieces = model_mod.hamiltonian_unitary_pieces(ctx.ham_spec)
+        plan = measure.hadamard_plan(circuit)
+
+        def route(theta, kind):
+            return measure.hadamard_eom(circuit, plan, theta, psi0, pieces, kind, shots, seed(shots is not None))
+    elif est_cfg.mode == "randomized":
+        def route(theta, kind):
+            if kind != "real":
+                raise ValueError("the randomized route only provides anticommutators")
+            return measure.randomized_eom(circuit, theta, psi0, spectrum, est_cfg.samples, seed(True))
+    else:
+        raise ValueError(f"unknown estimator mode {est_cfg.mode!r}")
+
+    def est(theta, kind):
+        psi, m, v = route(theta, kind)
+        amp = psi.amplitudes
+        return EomQuantities(m, v, psi, float(np.vdot(amp, spectrum @ amp).real))
+
+    return est
 
 
 def snapshot(
@@ -268,7 +283,7 @@ def _checked_flow(est, theta: np.ndarray, kind: str, sign: float, ev: EvolutionC
     for what, arr in (("metric", eom.m), ("flow vector", eom.v)):
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(f"step {step}: non-finite {what}")
-    dot, info = solve_flow(eom.m, sign * eom.v, ev.cutoff, ev.tikhonov)
+    dot, info = solve_flow(eom.m, sign * eom.v, ev.cutoff)
     return eom, dot, info
 
 
@@ -277,7 +292,7 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     if cfg.evolution.mode != "vite":
         raise ValueError("ground search runs in vite mode")
     ctx = ctx or RunContext.from_config(cfg)
-    est = _make_estimator(cfg, ctx)
+    est = make_estimator(cfg.estimator, ctx)
     ev = cfg.evolution
     theta = random_initial_params(ctx.circuit, cfg.ansatz.init_seed, cfg.ansatz.init_range)
 
@@ -322,7 +337,7 @@ def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
     if cfg.evolution.mode != "vrte":
         raise ValueError("quench runs in vrte mode")
     ctx = ctx or RunContext.from_config(cfg)
-    est = _make_estimator(cfg, ctx)
+    est = make_estimator(cfg.estimator, ctx)
     ev = cfg.evolution
     theta = np.zeros(ctx.circuit.num_params)
 

@@ -30,11 +30,8 @@ from quditgauge.varsim import (
     RunContext,
     build_circuit,
     designated_site,
-    energy_gradient,
     exact_eom,
-    metric_tensor,
     oscillation_period,
-    real_time_vector,
     run_ground_search,
     run_quench,
 )
@@ -259,9 +256,9 @@ class TestCriterion6EstimatorEquivalence:
             npar = circ.num_params
             for draw in range(10):
                 theta = rng.uniform(-np.pi, np.pi, npar)
-                m = metric_tensor(circ, theta, psi0)
-                vi = energy_gradient(circ, theta, ham, psi0)
-                vr = real_time_vector(circ, theta, ham, psi0)
+                m = exact_eom(circ, theta, None, psi0, "imag").m
+                vi = exact_eom(circ, theta, ham, psi0, "imag").v
+                vr = exact_eom(circ, theta, ham, psi0, "real").v
                 _, m_shift, v_shift = shift_eom(ShiftPlans(circ), theta, psi0, spectrum)
                 if model_kind == "chain":
                     pairs = [(a, b) for a in range(npar) for b in range(a, npar)]
@@ -311,8 +308,8 @@ class TestCriterion7DerivativeCorrectness:
 
             for _ in range(10):
                 theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-                grad = energy_gradient(circ, theta, ham, psi0)
-                m = metric_tensor(circ, theta, psi0)
+                grad = exact_eom(circ, theta, ham, psi0, "imag").v
+                m = exact_eom(circ, theta, None, psi0, "imag").m
                 mu = int(rng.integers(circ.num_params))
                 nu = int(rng.integers(circ.num_params))
                 worst = max(

@@ -350,6 +350,15 @@ class TestErrorPaths:
         assert main(["ground", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    # both fields admitted a single value (local_dim 3, tikhonov 0) and are gone
+    @pytest.mark.parametrize("section,key,value", [("model", "local_dim", 3), ("evolution", "tikhonov", 0.0)])
+    def test_removed_field_is_an_unknown_key(self, tmp_path, capsys, section, key, value):
+        data = json.loads(json.dumps(SMALL_GROUND))
+        data[section][key] = value
+        cfg_path = write_config(tmp_path, "c.json", data)
+        assert main(["ground", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys in section {section!r}: [{key!r}]" in capsys.readouterr().err
+
     def test_negative_seed_override_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
         assert main(["ground", "--config", str(cfg_path), "--seed", "-2", "--out", str(tmp_path / "o")]) == 2

@@ -27,7 +27,7 @@ from quditgauge.model import (
     unitary_split,
 )
 from quditgauge.oracle import eigendecompose
-from quditgauge.varsim import RunContext, energy_gradient, exact_eom, metric_tensor, real_time_vector
+from quditgauge.varsim import RunContext, exact_eom, make_estimator
 
 from helpers import kron_lift, random_hermitian, random_state, series_expm
 from test_ansatz import hand_built_circuit
@@ -145,7 +145,7 @@ class TestPlans:
             return original(circuit, slots)
 
         monkeypatch.setattr(measure, "_frequencies", counted)
-        est = measure.make_estimator(cfg.estimator, ctx)
+        est = make_estimator(cfg.estimator, ctx)
         rng = np.random.default_rng(45)
         for _ in range(2):
             est(rng.uniform(-1, 1, ctx.circuit.num_params), "imag")
@@ -202,7 +202,7 @@ class TestMetricFromShifts:
         rng = np.random.default_rng(13)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-            m_exact = metric_tensor(circ, theta, psi0)
+            m_exact = exact_eom(circ, theta, None, psi0, "imag").m
             _, m, _ = shift_eom(ShiftPlans(circ), theta, psi0, spec)
             for mu, nu in [(0, 0), (2, 2), (0, 1), (2, 5), (4, 7)]:
                 assert m[mu, nu] == pytest.approx(m_exact[mu, nu], abs=1e-8), (mu, nu)
@@ -211,7 +211,7 @@ class TestMetricFromShifts:
         circ, ham, psi0 = small_chain
         theta = np.random.default_rng(14).uniform(-np.pi, np.pi, circ.num_params)
         psi, got, _ = shift_eom(ShiftPlans(circ), theta, psi0, eigendecompose(ham))
-        want = metric_tensor(circ, theta, psi0)
+        want = exact_eom(circ, theta, None, psi0, "imag").m
         assert np.max(np.abs(got - want)) < 1e-8
         assert np.array_equal(psi.amplitudes, circ.state(theta, psi0).amplitudes)
 
@@ -234,7 +234,7 @@ class TestMetricFromShifts:
         circ, ham, psi0 = small_chain
         spec = eigendecompose(ham)
         theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
-        exact = metric_tensor(circ, theta, psi0)[1, 1]
+        exact = exact_eom(circ, theta, None, psi0, "imag").m[1, 1]
         shots, plans = 2000, ShiftPlans(circ)
         draws = np.array([shift_eom(plans, theta, psi0, spec, shots=shots, seed=s)[1][1, 1] for s in range(100)])
         se = draws.std(ddof=1) / np.sqrt(len(draws))
@@ -248,7 +248,7 @@ class TestGradientFromShifts:
         rng = np.random.default_rng(17)
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-            grad = energy_gradient(circ, theta, ham, psi0)
+            grad = exact_eom(circ, theta, ham, psi0, "imag").v
             _, _, got = shift_eom(ShiftPlans(circ), theta, psi0, spec)
             for mu in range(circ.num_params):
                 assert got[mu] == pytest.approx(grad[mu], abs=1e-8), mu
@@ -260,11 +260,11 @@ class TestGradientFromShifts:
         assert shift_eom(ShiftPlans(circ), theta, psi0, spec)[2][0] == pytest.approx(0.0, abs=1e-10)
 
     def test_error_scales_with_shots(self, small_chain):
-        # slot 0's gradient as shift_eom reads it: a fresh generator per seed
+        # slot 0's gradient from its energy samples alone, a generator per seed
         circ, ham, psi0 = small_chain
         spec = eigendecompose(ham)
         theta = np.random.default_rng(19).uniform(-1, 1, circ.num_params)
-        exact = energy_gradient(circ, theta, ham, psi0)[0]
+        exact = exact_eom(circ, theta, ham, psi0, "imag").v[0]
         table = ShiftTable(circ, theta, psi0)
         plan = ShiftPlans(circ)((0,))
 
@@ -321,7 +321,7 @@ class TestElementFromHadamard:
         circ, _, psi0 = small_chain
         rng = np.random.default_rng(21)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        m = metric_tensor(circ, theta, psi0)
+        m = exact_eom(circ, theta, None, psi0, "imag").m
         for mu, nu in [(0, 0), (1, 3), (2, 6), (7, 7)]:
             got = element_from_hadamard("M", circ, theta, mu, nu, None, psi0)
             assert got == pytest.approx(m[mu, nu], abs=1e-8), (mu, nu)
@@ -332,8 +332,8 @@ class TestElementFromHadamard:
         pieces = hamiltonian_unitary_pieces(ham_spec)
         rng = np.random.default_rng(22)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        vi = energy_gradient(circ, theta, ham, psi0)
-        vr = real_time_vector(circ, theta, ham, psi0)
+        vi = exact_eom(circ, theta, ham, psi0, "imag").v
+        vr = exact_eom(circ, theta, ham, psi0, "real").v
         for mu in range(0, circ.num_params, 3):
             got_i = element_from_hadamard("VI", circ, theta, mu, None, pieces, psi0)
             got_r = element_from_hadamard("VR", circ, theta, mu, None, pieces, psi0)
@@ -404,13 +404,38 @@ class TestElementFromHadamard:
     def test_shot_mean_within_three_standard_errors(self, small_chain):
         circ, _, psi0 = small_chain
         theta = np.random.default_rng(43).uniform(-np.pi, np.pi, circ.num_params)
-        exact = metric_tensor(circ, theta, psi0)[4, 5]  # two gates per slot: 16 pair words
+        exact = exact_eom(circ, theta, None, psi0, "imag").m[4, 5]  # two gates per slot: 16 pair words
         draws = np.array(
             [element_from_hadamard("M", circ, theta, 4, 5, None, psi0, shots=2000, seed=s) for s in range(200)]
         )
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert se < abs(exact) / 10
         assert abs(draws.mean() - exact) < 3 * se
+
+
+class TestShotNoiseIndependence:
+    """The elements of one shot-noise estimate draw from one generator in turn, not from one stream each."""
+
+    @staticmethod
+    def largest_correlation(draws):
+        corr = np.corrcoef(draws, rowvar=False)
+        return np.max(np.abs(corr[~np.eye(len(corr), dtype=bool)]))
+
+    def test_element_errors_are_uncorrelated(self, small_chain):
+        # with every element seeded alike, pairs of elements read the same
+        # binomial stream and their errors correlate up to |corr| = 1
+        circ, ham, psi0 = small_chain
+        spectrum = eigendecompose(ham)
+        pieces = hamiltonian_unitary_pieces(chain_hamiltonian(3, 1.0, 0.1))
+        theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
+        route, plans = measure.hadamard_plan(circ), ShiftPlans(circ)
+        upper = np.triu_indices(circ.num_params)
+        metric = np.array(
+            [measure.hadamard_eom(circ, route, theta, psi0, pieces, "imag", 1000, s)[1][upper] for s in range(100)]
+        )
+        gradient = np.array([shift_eom(plans, theta, psi0, spectrum, 1000, s)[2] for s in range(60)])
+        assert self.largest_correlation(metric) < 0.6
+        assert self.largest_correlation(gradient) < 0.6
 
 
 class TestHadamardEstimator:
@@ -436,7 +461,7 @@ class TestHadamardEstimator:
 
         monkeypatch.setattr(Circuit, "sweep", counted("sweep"))
         monkeypatch.setattr(Circuit, "state", counted("state"))
-        est = measure.make_estimator(cfg.estimator, ctx)
+        est = make_estimator(cfg.estimator, ctx)
         theta = np.random.default_rng(44).uniform(-1, 1, ctx.circuit.num_params)
         for kind in ("imag", "real"):
             before = dict(calls)

@@ -189,7 +189,7 @@ class TestFiniteDifference:
     def test_cross_module_energy_gradient(self):
         from quditgauge.ansatz import chain_circuit
         from quditgauge.core import basis_state
-        from quditgauge.varsim import energy_gradient
+        from quditgauge.varsim import exact_eom
 
         circ = chain_circuit(3, 1, "imag")
         psi0 = basis_state(3, 3, [1, 1, 1])
@@ -200,7 +200,7 @@ class TestFiniteDifference:
             amp = circ.state(th, psi0).amplitudes
             return float(np.vdot(amp, ham @ amp).real)
 
-        grad = energy_gradient(circ, theta, ham, psi0)
+        grad = exact_eom(circ, theta, ham, psi0, "imag").v
         for mu in range(circ.num_params):
             assert grad[mu] == pytest.approx(finite_difference(energy, theta, mu, 1, 1e-5), abs=1e-7)
 

@@ -11,11 +11,12 @@ makes a rename or removal fail the tests rather than a traced benchmark run.
 
 The tangent sweep's kernel rows are pinned too: with one bundle row per
 parameter slot, a call pushes O(stages * P) rows through the traced kernels,
-not O(gates^2).  So is the Hadamard route: one estimator call on the
-benchmark's L=3 N=1 chain runs its stage sweep through the traced kernels
-and calls no ``hadamard_test``, and the traced wrappers must accept it.
-One shift-route estimator call there simulates each state it reads once
-through the traced ``Circuit.state``: the base state and each distinct
+not O(gates^2).  So is the Hadamard route: one call of the estimator that
+``varsim.make_estimator`` builds for it on the benchmark's L=3 N=1 chain
+runs its stage sweep through the traced kernels and calls no
+``hadamard_test``, and the traced wrappers must accept it.  One
+shift-route call of the same factory there simulates each state it reads
+once through the traced ``Circuit.state``: the base state and each distinct
 (slot, shift) state, at most 401 where a simulation per sample took 1,097.
 Set-up is pinned too: the run context of the L=7 N=3 chain builds its
 spectrum from the Hamiltonian's sectors, with no traced ``model.materialize``
@@ -53,16 +54,15 @@ print(json.dumps({"tangents": tracer.calls.get("ansatz.tangents", 0), "rows": ro
 
 HADAMARD_EOM = """
 import json
-from quditgauge import measure
 from quditgauge.config import parse_config
-from quditgauge.varsim import RunContext
+from quditgauge.varsim import RunContext, make_estimator
 cfg = parse_config({
     "model": {"dimension": 1, "num_links": 3, "g": 1.0, "mass": 0.1},
     "ansatz": {"family": "chain", "layers": 1, "init_seed": 1},
     "estimator": {"mode": "hadamard"},
 })
 ctx = RunContext.from_config(cfg)
-eom = measure.make_estimator(cfg.estimator, ctx)([0.1] * ctx.circuit.num_params, "imag")
+eom = make_estimator(cfg.estimator, ctx)([0.1] * ctx.circuit.num_params, "imag")
 print(json.dumps({
     "params": int(eom.v.size),
     "rows": tracer.counts.get("core.kernel.rows", 0),

@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from quditgauge.ansatz import Circuit, Gate, chain_circuit, plaquette_circuit
-from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig
+from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig, parse_config
 from quditgauge.core import LocalOperator, basis_state, embedded_pauli
 from quditgauge.model import chain_hamiltonian, materialize
 from quditgauge.oracle import Spectrum, finite_difference
 from quditgauge.varsim import (
     RunContext,
     _checked_flow,
-    energy_gradient,
     exact_eom,
     integrate_step,
-    metric_tensor,
+    make_estimator,
     oscillation_period,
-    real_time_vector,
     run_ground_search,
     run_quench,
     solve_flow,
@@ -46,7 +44,7 @@ class TestMetricExact:
         psi = random_state(3, rng)
         reg = basis_state(n, 3, [0]).__class__(n, 3, psi)
         theta = np.array([0.37])
-        m = metric_tensor(circ, theta, reg)
+        m = exact_eom(circ, theta, None, reg, "imag").m
         g = gen.matrix
         want = np.vdot(psi, g @ g @ psi).real - np.vdot(psi, g @ psi).real ** 2
         assert m[0, 0] == pytest.approx(want, abs=1e-12)
@@ -57,7 +55,7 @@ class TestMetricExact:
         gen = LocalOperator(3, (0,), embedded_pauli(3, 1, 2, "X").matrix / 2.0, hermitian=True)
         circ = single_gate_circuit(gen, 1)
         reg = basis_state(1, 3, [0])
-        m = metric_tensor(circ, np.array([0.9]), reg)
+        m = exact_eom(circ, np.array([0.9]), None, reg, "imag").m
         assert abs(m[0, 0]) < 1e-14
 
     def test_matches_mixed_overlap_curvature(self):
@@ -66,7 +64,7 @@ class TestMetricExact:
         psi0 = vacuum(3)
         rng = np.random.default_rng(4)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        m = metric_tensor(circ, theta, psi0)
+        m = exact_eom(circ, theta, None, psi0, "imag").m
         h = 1e-4
 
         def overlap(a, b, mu, nu):
@@ -96,7 +94,7 @@ class TestMetricExact:
         circ = plaquette_circuit(1, "imag")
         rng = np.random.default_rng(8)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        m = metric_tensor(circ, theta, vacuum(4))
+        m = exact_eom(circ, theta, None, vacuum(4), "imag").m
         assert np.max(np.abs(m - m.T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(m)) > -1e-9
 
@@ -127,7 +125,7 @@ class TestGradients:
 
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-            grad = energy_gradient(circ, theta, ham, psi0)
+            grad = exact_eom(circ, theta, ham, psi0, "imag").v
             for mu in range(circ.num_params):
                 fd = finite_difference(energy, theta, mu, order=1, h=1e-5)
                 assert grad[mu] == pytest.approx(fd, abs=1e-7), (name, mu)
@@ -136,7 +134,7 @@ class TestGradients:
         circ = chain_circuit(3, 1, "imag")
         psi0 = vacuum(3)
         theta = np.random.default_rng(1).uniform(-1, 1, circ.num_params)
-        grad = energy_gradient(circ, theta, np.eye(27, dtype=complex), psi0)
+        grad = exact_eom(circ, theta, np.eye(27, dtype=complex), psi0, "imag").v
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_gradient_zero_at_reachable_eigenstate(self):
@@ -145,7 +143,7 @@ class TestGradients:
         circ = chain_circuit(3, 1, "imag")
         psi0 = vacuum(3)
         ham = materialize(chain_hamiltonian(3, 1.0, 0.0, hopping_scale=0.0))
-        grad = energy_gradient(circ, np.zeros(circ.num_params), ham, psi0)
+        grad = exact_eom(circ, np.zeros(circ.num_params), ham, psi0, "imag").v
         assert np.max(np.abs(grad)) < 1e-12
 
 
@@ -153,7 +151,7 @@ class TestRealTimeVector:
     def test_identity_hamiltonian(self):
         circ = chain_circuit(3, 1, "real")
         theta = np.random.default_rng(3).uniform(-1, 1, circ.num_params)
-        v = real_time_vector(circ, theta, np.eye(27, dtype=complex), vacuum(3))
+        v = exact_eom(circ, theta, np.eye(27, dtype=complex), vacuum(3), "real").v
         assert np.max(np.abs(v)) < 1e-10
 
     def test_consistency_identity(self):
@@ -162,7 +160,7 @@ class TestRealTimeVector:
         psi0 = vacuum(3)
         ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
         theta = np.random.default_rng(5).uniform(-np.pi, np.pi, circ.num_params)
-        v = real_time_vector(circ, theta, ham, psi0)
+        v = exact_eom(circ, theta, ham, psi0, "real").v
         psi, tang = circ.tangents(theta, psi0)
         hpsi = ham @ psi.amplitudes
         energy = np.vdot(psi.amplitudes, hpsi).real
@@ -179,7 +177,7 @@ class TestRealTimeVector:
         ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
         rng = np.random.default_rng(6)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        v = real_time_vector(circ, theta, ham, psi0)
+        v = exact_eom(circ, theta, ham, psi0, "real").v
         full = np.eye(27, dtype=complex)
         prefixes = []
         for g in circ.gates:
@@ -197,6 +195,58 @@ class TestRealTimeVector:
                 amps.conj() @ h_tilde @ amps
             ).real
             assert v[mu] == pytest.approx(conn, abs=1e-10), mu
+
+
+ESTIMATOR_MODELS = {
+    "chain": ({"dimension": 1, "num_links": 3}, {"family": "chain", "layers": 1, "init_seed": 1}),
+    "plaquette": ({"dimension": 2, "num_links": 4}, {"family": "plaquette", "layers": 1, "init_seed": 1}),
+}
+# the flow kinds each route provides, and one it refuses
+ROUTE_KINDS = {
+    "exact": (("imag", "real"), "sideways"),
+    "shift": (("imag",), "real"),
+    "hadamard": (("imag", "real"), "sideways"),
+    "randomized": (("real",), "imag"),
+}
+
+
+class TestMakeEstimator:
+    @pytest.mark.parametrize("model_name", sorted(ESTIMATOR_MODELS))
+    @pytest.mark.parametrize("mode", sorted(ROUTE_KINDS))
+    def test_route(self, model_name, mode):
+        model_cfg, ansatz_cfg = ESTIMATOR_MODELS[model_name]
+        cfg = parse_config(
+            {
+                "model": model_cfg,
+                "ansatz": ansatz_cfg,
+                "evolution": {"mode": "vrte" if mode == "randomized" else "vite"},
+                "estimator": {"mode": mode, "samples": 1},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        theta = np.random.default_rng(46).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        kinds, refused = ROUTE_KINDS[mode]
+        est = make_estimator(cfg.estimator, ctx)
+        with pytest.raises(ValueError):
+            est(theta, refused)
+        if mode != "randomized":  # the only route without a noiseless estimate
+            for kind in kinds:
+                got, want = est(theta, kind), exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
+                assert np.max(np.abs(got.m - want.m)) < 1e-8, kind
+                assert np.max(np.abs(got.v - want.v)) < 1e-8, kind
+                assert np.array_equal(got.psi.amplitudes, want.psi.amplitudes), kind
+                assert got.energy == pytest.approx(want.energy, abs=1e-12), kind
+        if mode == "exact":
+            return
+        noisy = dataclasses.replace(cfg.estimator, shots=100, seed=5)
+        runs = []
+        for _ in range(2):
+            est = make_estimator(noisy, ctx)
+            runs.append([est(theta, kinds[0]) for _ in range(2)])
+        for a, b in zip(*runs):
+            assert a.m.tobytes() == b.m.tobytes() and a.v.tobytes() == b.v.tobytes()
+        first, second = runs[0]
+        assert not np.array_equal(first.m, second.m)  # each call draws from its own seed
 
 
 class TestSolveFlow:
@@ -221,12 +271,6 @@ class TestSolveFlow:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             solve_flow(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
-
-    def test_tikhonov_shift(self):
-        m = np.diag([1.0, 1e-12])
-        v = np.array([1.0, 1.0])
-        dot, _ = solve_flow(m, v, cutoff=0.0, tikhonov=1e-3)
-        assert abs(dot[1]) < 1e3  # shift bounds the blowup
 
 
 class TestIntegrateStep:
