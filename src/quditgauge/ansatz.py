@@ -42,31 +42,61 @@ class Gate:
     levels: tuple[int, int] | None = None
     phi: float = 0.0
 
-    @cached_property
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of the generator, computed on first use."""
-        return np.linalg.eigh(self.generator.matrix)
-
     def matrix(self, theta: float) -> np.ndarray:
         """exp(-i theta G), exactly the identity at theta = 0."""
         if theta == 0.0:
             return np.eye(self.generator.matrix.shape[0], dtype=complex)
-        w, v = self.eigenbasis
-        return (v * np.exp(-1.0j * theta * w)) @ v.conj().T
+        return core.hermitian_expm(self.generator.matrix, -1.0j * theta)
+
+
+def _is_adjacent_pair(targets: tuple[int, ...]) -> bool:
+    return len(targets) == 2 and targets[1] == targets[0] + 1
+
+
+def _lift(a: np.ndarray, targets: tuple[int, ...], stage_targets: tuple[int, ...], d: int) -> np.ndarray:
+    """A matrix (or a diagonal) on ``targets`` as the same factor on ``stage_targets``.
+
+    ``targets`` is ``stage_targets`` itself or one qudit of an adjacent pair;
+    ``stage_targets[0]`` is the more significant factor.
+    """
+    if targets == stage_targets:
+        return a
+    one = np.eye(d) if a.ndim == 2 else np.ones(d)
+    return np.kron(a, one) if targets[0] == stage_targets[0] else np.kron(one, a)
 
 
 @dataclass(frozen=True)
 class Stage:
-    """A maximal run of consecutive gates on the same targets, applied as one matrix."""
+    """Gates applied in turn on ``targets`` as one matrix.
 
-    gates: tuple[Gate, ...]
+    ``positions`` index the circuit's gates in application order and
+    ``slots`` holds their parameter slots.  ``eigvals[k]`` and
+    ``eigvecs[k]`` are the eigenbasis of gate k's generator, lifted to
+    ``targets``, so one batched exponential builds every gate matrix.
+    """
+
+    targets: tuple[int, ...]
+    positions: tuple[int, ...]
+    slots: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def unitaries(self, theta: np.ndarray) -> np.ndarray:
+        """exp(-i theta G_k) of every gate k, exactly the identity where theta = 0."""
+        t = theta[self.slots]
+        phases = np.exp(-1.0j * t[:, None] * self.eigvals)
+        mats = (self.eigvecs * phases[:, None, :]) @ self.eigvecs.conj().swapaxes(1, 2)
+        zero = t == 0.0
+        if zero.any():
+            mats[zero] = np.eye(self.eigvals.shape[1])
+        return mats
 
     def derivatives(
         self, theta: np.ndarray, inserts: Sequence[tuple[int, np.ndarray]]
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """U = M_K ... M_1 and, for each (k, O) in ``inserts``, (M_K ... M_{k+1}) O (M_k ... M_1)."""
-        mats = [g.matrix(theta[g.slot]) for g in self.gates]
+        mats = self.unitaries(theta)
         prefix = [mats[0]]
         for m in mats[1:]:
             prefix.append(m @ prefix[-1])
@@ -86,11 +116,11 @@ class Stage:
 class RowPlan:
     """Local matrices inserted after gates, each feeding one bundle row of a sweep.
 
-    ``inserts[s]`` lists (k, O) for stage s: O goes in after the stage's
-    gate k and feeds bundle row ``rows[s][i]``, i its place in the list.
-    Rows are numbered in the order insertions first touch them;
-    ``active[s]`` counts the rows in use when stage s starts, and
-    ``order[key]`` is the row of key ``key``.
+    ``inserts[s]`` lists (k, O) for stage s: O, lifted to the stage's
+    targets, goes in after the stage's gate k and feeds bundle row
+    ``rows[s][i]``, i its place in the list.  Rows are numbered in the order
+    insertions first touch them; ``active[s]`` counts the rows in use when
+    stage s starts, and ``order[key]`` is the row of key ``key``.
     """
 
     inserts: tuple[tuple[tuple[int, np.ndarray], ...], ...]
@@ -132,27 +162,61 @@ class Circuit:
 
     @cached_property
     def stages(self) -> tuple[Stage, ...]:
-        """The stage plan, built on first use."""
-        return tuple(
-            Stage(tuple(run), core.batch_kernel(self.num_qudits, self.local_dim, targets))
-            for targets, run in groupby(self.gates, key=lambda g: g.targets)
+        """The stage plan, built on first use.
+
+        Consecutive gates on the same targets form a run.  A single-qudit
+        run folds forward into the next run that touches its qudit when
+        that run is an adjacent pair: the runs in between act on other
+        qudits, so the run's gates, and anything inserted after them,
+        commute past them.
+        """
+        runs = [
+            (targets, [p for p, _ in run])
+            for targets, run in groupby(enumerate(self.gates), key=lambda pg: pg[1].targets)
+        ]
+        folded: list[list[int]] = [[] for _ in runs]
+        stages = []
+        for i, (targets, positions) in enumerate(runs):
+            positions = folded[i] + positions
+            if len(targets) == 1:
+                j = next((j for j in range(i + 1, len(runs)) if targets[0] in runs[j][0]), None)
+                if j is not None and _is_adjacent_pair(runs[j][0]):
+                    folded[j] += positions
+                    continue
+            stages.append(self._stage(targets, positions))
+        return tuple(stages)
+
+    def _stage(self, targets: tuple[int, ...], positions: list[int]) -> Stage:
+        d = self.local_dim
+        eigvals, eigvecs = [], []
+        for p in positions:
+            w, v = np.linalg.eigh(self.gates[p].generator.matrix)
+            eigvals.append(_lift(w, self.gates[p].targets, targets, d))
+            eigvecs.append(_lift(v, self.gates[p].targets, targets, d))
+        return Stage(
+            targets,
+            tuple(positions),
+            np.array([self.gates[p].slot for p in positions]),
+            np.stack(eigvals),
+            np.stack(eigvecs),
+            core.batch_kernel(self.num_qudits, d, targets),
         )
 
     def row_plan(self, ops: Sequence[Sequence[tuple[int, np.ndarray]]]) -> RowPlan:
         """Plan a sweep that inserts each (key, O) of ``ops[p]`` after gate p.
 
-        Keys must be 0 .. R-1; they get bundle rows in the order the
-        insertions first touch them.
+        O acts on gate p's targets.  Keys must be 0 .. R-1; they get bundle
+        rows in the order the insertions first touch them.
         """
         row_of: dict[int, int] = {}
         inserts, rows, active = [], [], []
-        p = 0
         for st in self.stages:
             active.append(len(row_of))
-            here = [(k, key, op) for k in range(len(st.gates)) for key, op in ops[p + k]]
-            inserts.append(tuple((k, op) for k, _, op in here))
-            rows.append(tuple(row_of.setdefault(key, len(row_of)) for _, key, _ in here))
-            p += len(st.gates)
+            here = [(k, p, key, op) for k, p in enumerate(st.positions) for key, op in ops[p]]
+            inserts.append(
+                tuple((k, _lift(op, self.gates[p].targets, st.targets, self.local_dim)) for k, p, _, op in here)
+            )
+            rows.append(tuple(row_of.setdefault(key, len(row_of)) for _, _, key, _ in here))
         order = np.empty(len(row_of), dtype=np.intp)
         for key, row in row_of.items():
             order[key] = row
@@ -200,7 +264,7 @@ class Circuit:
         gates sharing slot mu of the product rule.
         """
         psi, rows = self.sweep(theta, psi0, self.tangent_plan)
-        return psi, np.ascontiguousarray(rows.T)
+        return psi, rows.T
 
     def describe(self) -> str:
         lines = [

@@ -5,6 +5,7 @@ state with levels (l_0, ..., l_{n-1}) sits at index sum_k l_k * d**k.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -218,67 +219,68 @@ def plaquette_gate(theta: float, plaq_op: LocalOperator) -> LocalOperator:
     return LocalOperator(plaq_op.local_dim, plaq_op.targets, mat)
 
 
-def _pair_swap_perm(d: int) -> np.ndarray:
-    idx = np.arange(d * d)
-    return (idx % d) * d + idx // d
+_ONE_GEMM_BLOCK = 27  # widest lifted block a single or adjacent-pair kernel applies as one GEMM
+_ZERO = np.zeros(1)
+
+
+@functools.cache
+def _block_index(d: int, k: int, lift: int) -> np.ndarray:
+    """Read-only flat index into [matrix.ravel(), 0] of kron(matrix in amplitude order, I_lift).
+
+    ``matrix`` acts on one qudit (k = 1) or an ascending adjacent pair
+    (k = 2), whose amplitude blocks are indexed (l_{t+1}, l_t) while the
+    matrix carries targets[0] major.
+    """
+    m = d**k
+    perm = np.arange(d) if k == 1 else (np.arange(m) % d) * d + np.arange(m) // d
+    index = np.full((m, lift, m, lift), m * m)
+    index[:, range(lift), :, range(lift)] = perm[:, None] * m + perm
+    index = index.reshape(m * lift, m * lift)
+    index.flags.writeable = False
+    return index
 
 
 def batch_kernel(num_qudits: int, d: int, targets: Sequence[int]):
     """Plan for applying a target-local matrix to batches of amplitude rows.
 
     Rows factor as (d,)*n in C order with qudit 0 last.  Single qudits and
-    ascending adjacent pairs reduce to contiguous batched matmuls; anything
-    else falls back to a moveaxis contraction.
+    ascending adjacent pairs act on a contiguous block of d^k levels followed
+    by ``post`` faster-varying amplitudes.  When d^k * post <= _ONE_GEMM_BLOCK
+    the matrix is lifted to kron(matrix, I_post) and applied to all rows as
+    one GEMM; otherwise as a batched matmul over the ``post`` axis.  The full
+    register is one GEMM against the matrix permuted into amplitude order;
+    anything else falls back to a moveaxis contraction.
     """
     targets = tuple(targets)
     k = len(targets)
     axes = tuple(num_qudits - 1 - t for t in targets)
 
-    if k == 1:
-        a = axes[0]
-        pre, post = d**a, d ** (num_qudits - 1 - a)
+    if k == 1 or (k == 2 and targets[1] == targets[0] + 1):
+        m = d**k
+        post = d ** targets[0]
+        lift = post if m * post <= _ONE_GEMM_BLOCK else 1
+        rest = post // lift
+        index = _block_index(d, k, lift)
 
-        if post == 1:
-            def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-                batch = rows.shape[0]
-                return (rows.reshape(-1, d) @ matrix.T).reshape(batch, -1)
-        else:
-            def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-                batch = rows.shape[0]
-                view = rows.reshape(batch * pre, d, post)
-                return np.matmul(matrix, view).reshape(batch, -1)
-
-        return run
-
-    if k == 2 and targets[1] == targets[0] + 1:
-        swap = _pair_swap_perm(d)
-        a = axes[1]  # axis of the more significant qudit targets[1]
-        pre, post = d**a, d ** (num_qudits - 2 - a)
-
-        if post == 1:
-            def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-                mat = matrix[np.ix_(swap, swap)]
-                batch = rows.shape[0]
-                return (rows.reshape(-1, d * d) @ mat.T).reshape(batch, -1)
-        else:
-            def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-                # row blocks are indexed (l_{t+1}, l_t); matrix carries targets[0] major
-                mat = matrix[np.ix_(swap, swap)]
-                batch = rows.shape[0]
-                view = rows.reshape(batch * pre, d * d, post)
-                return np.matmul(mat, view).reshape(batch, -1)
+        def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+            mat = np.concatenate((matrix.ravel(), _ZERO)).take(index)
+            batch = rows.shape[0]
+            if rest == 1:
+                return (rows.reshape(-1, m * lift) @ mat.T).reshape(batch, -1)
+            return np.matmul(mat, rows.reshape(-1, m, rest)).reshape(batch, -1)
 
         return run
 
     if k == num_qudits:
-        idx = np.arange(d**num_qudits)
+        dim = d**num_qudits
+        idx = np.arange(dim)
         loc = np.zeros_like(idx)
         for pos, t in enumerate(targets):
             loc += ((idx // d**t) % d) * d ** (k - 1 - pos)
+        index = loc[:, None] * dim + loc[None, :]
 
         def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-            canon = matrix[np.ix_(loc, loc)]
-            return rows @ canon.T
+            return rows @ matrix.take(index).T
 
         return run
 

@@ -71,16 +71,17 @@ def exact_eom(
     amp = psi.amplitudes
     if ham is not None and ham.shape[0] != psi.dim:
         raise ValueError("Hamiltonian dimension does not match the register")
-    ip = tang.conj().T @ amp  # <d_mu psi | psi>
-    gram = tang.conj().T @ tang
+    bra = tang.conj().T
+    hpsi = np.zeros_like(amp) if ham is None else ham @ amp
+    ip, hp = (bra @ np.stack([amp, hpsi], axis=1)).T  # <d_mu psi|psi>, <d_mu psi|H|psi>
+    gram = bra @ tang
     m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
     m = (m + m.T) / 2.0
-    hpsi = np.zeros_like(amp) if ham is None else ham @ amp
     energy = float(np.vdot(amp, hpsi).real)
     if kind == "imag":
-        v = 2.0 * (tang.conj().T @ hpsi).real
+        v = 2.0 * hp.real
     else:
-        v = 2.0 * (tang.conj().T @ hpsi).imag + 2.0 * energy * np.conj(ip).imag
+        v = 2.0 * hp.imag + 2.0 * energy * np.conj(ip).imag
     return EomQuantities(m, v, psi, energy)
 
 

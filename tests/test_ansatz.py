@@ -160,8 +160,9 @@ def hand_built_circuit() -> Circuit:
     """Three qutrits, six slots, first touched in the order 2, 0, 4, 1, 3, 5.
 
     Slot 2 is shared by gates in two stages; the run of gates on qudit 1 is
-    split by a gate on qudit 2; slot 5 is shared inside one stage; the CROT
-    on (2, 0) takes the kernel's non-adjacent path.
+    split by a gate on qudit 2, and only its second part folds into the MS
+    stage; slot 5 is shared inside one stage; the CROT on (2, 0) takes the
+    kernel's non-adjacent path.
     """
     d = 3
     gates = (
@@ -177,25 +178,72 @@ def hand_built_circuit() -> Circuit:
     return Circuit(gates, 6, 3, d, 1, "hand")
 
 
+def four_qudit_circuit(specs) -> Circuit:
+    """Four qutrits, one slot per gate: ("rot", q), ("rz", q), ("ms", a, b), ("crot", a, b) or ("plaq",)."""
+    d = 3
+    loop = plaquette_circuit(1, "real", include_plaquette_gate=True).gates[-1].generator
+    gates = []
+    for slot, (kind, *qs) in enumerate(specs):
+        if kind == "rot":
+            gen = _rotation_generator(d, 0, 2, np.pi / 2, qs[0])
+        elif kind == "rz":
+            gen = _rz_generator(d, 1, 2, qs[0])
+        elif kind == "ms":
+            gen = ms_generator(d, 1, 2).on(*qs)
+        elif kind == "crot":
+            gen = crot_generator(d).on(*qs)
+        else:
+            gen = loop
+        gates.append(Gate("rotation" if kind == "rot" else kind, gen.targets, slot, gen))
+    return Circuit(tuple(gates), len(gates), 4, d, 1, "hand")
+
+
 class TestStagePlan:
     def test_stage_boundaries_and_rows(self):
+        # runs (1,) (2,) (1,) (0, 1) (2, 0) (0,): the second run on qudit 1
+        # folds into the MS pair; the first meets another single run, the
+        # run on qudit 2 the non-adjacent CROT, and the last run no stage
         circ = hand_built_circuit()
-        assert [st.gates[0].targets for st in circ.stages] == [(1,), (2,), (1,), (0, 1), (2, 0), (0,)]
-        assert [len(st.gates) for st in circ.stages] == [2, 1, 1, 1, 1, 2]
+        assert [st.targets for st in circ.stages] == [(1,), (2,), (0, 1), (2, 0), (0,)]
+        assert [st.positions for st in circ.stages] == [(0, 1), (2,), (3, 4), (5,), (6, 7)]
         plan = circ.tangent_plan
-        assert list(plan.rows) == [(0, 1), (2,), (0,), (3,), (4,), (5, 5)]
-        assert [tuple(k for k, _ in ins) for ins in plan.inserts] == [
-            (0, 1), (0,), (0,), (0,), (0,), (0, 1)
-        ]
-        assert list(plan.active) == [0, 2, 3, 3, 4, 5]
+        assert list(plan.rows) == [(0, 1), (2,), (0, 3), (4,), (5, 5)]
+        assert [tuple(k for k, _ in ins) for ins in plan.inserts] == [(0, 1), (0,), (0, 1), (0,), (0, 1)]
+        assert list(plan.active) == [0, 2, 3, 4, 5]
         assert list(plan.order) == [1, 3, 0, 4, 2, 5]
 
     def test_chain_fuses_each_rotation_block(self):
-        # per layer: one 3-gate stage per link and one stage per MS gate
+        # per layer: each link's 3-gate block folds into the MS gate after it,
+        # the block of link 0 and link 1 both into MS (0, 1)
         circ = chain_circuit(7, 3, "imag")
         assert len(circ.gates) == 81
-        assert len(circ.stages) == 39
-        assert sum(len(st.gates) for st in circ.stages) == 81
+        assert len(circ.stages) == 18
+        assert sum(len(st.positions) for st in circ.stages) == 81
+        assert all(st.targets == (q, q + 1) for st, q in zip(circ.stages, [0, 1, 2, 3, 4, 5] * 3))
+
+    @pytest.mark.parametrize(
+        "gates,targets",
+        [
+            # a gate on qudit 0 before its pair (0, 1)
+            pytest.param(
+                (("rot", 0), ("rz", 0), ("crot", 2, 0), ("ms", 0, 1)), [(0,), (2, 0), (0, 1)], id="overlap-before-pair"
+            ),
+            pytest.param((("rot", 3), ("rz", 3), ("crot", 3, 0)), [(3,), (3, 0)], id="non-adjacent-crot"),
+            pytest.param((("rot", 0), ("ms", 2, 3), ("plaq",)), [(0,), (2, 3), (0, 1, 2, 3)], id="four-body-gate"),
+            pytest.param((("ms", 0, 1), ("rot", 1), ("rz", 1)), [(0, 1), (1,)], id="end-of-circuit"),
+            # the contrast: a pair on other qudits between a run and its pair
+            pytest.param((("rot", 1), ("ms", 2, 3), ("ms", 1, 2)), [(2, 3), (1, 2)], id="fold-past-disjoint-pair"),
+        ],
+    )
+    def test_fold_cases_match_dense_reference(self, gates, targets):
+        circ = four_qudit_circuit(gates)
+        assert [st.targets for st in circ.stages] == targets
+        psi0 = vacuum(4)
+        theta = np.random.default_rng(43).uniform(-np.pi, np.pi, circ.num_params)
+        want_psi, want = dense_tangents(circ, theta, psi0)
+        psi, tang = circ.tangents(theta, psi0)
+        assert np.max(np.abs(tang - want)) < 1e-12
+        assert np.max(np.abs(psi.amplitudes - want_psi)) < 1e-14
 
     def test_matches_dense_reference(self):
         circ = hand_built_circuit()

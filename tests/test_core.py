@@ -6,6 +6,7 @@ from quditgauge.core import (
     LocalOperator,
     apply,
     basis_state,
+    batch_kernel,
     crot_gate,
     embedded_pauli,
     entanglement_entropy,
@@ -234,6 +235,29 @@ class TestApply:
         s = basis_state(2, 3, [0, 0])
         with pytest.raises(ValueError):
             apply(s, embedded_pauli(3, 0, 1, "X").on(5))
+
+
+# On five qutrits the qudits below a single or an adjacent pair number 0..4,
+# so the trailing axis runs 1, 3, 9, 27, 81 and the lifted block
+# d^k * 3^t falls on both sides of the one-GEMM bound.
+FIVE_QUDIT_TARGETS = (
+    [(t,) for t in range(5)] + [(t, t + 1) for t in range(4)] + [(3, 1), (4, 2, 0, 1, 3)]
+)
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("targets", FIVE_QUDIT_TARGETS, ids=str)
+    def test_every_branch_against_kron_oracle(self, targets, batch):
+        d, n = 3, 5
+        rng = np.random.default_rng(13)
+        size = d ** len(targets)
+        mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        rows = rng.standard_normal((batch, d**n)) + 1j * rng.standard_normal((batch, d**n))
+        got = batch_kernel(n, d, targets)(rows, mat)
+        want = rows @ kron_lift(mat, targets, n, d).T
+        assert got.shape == rows.shape
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestLift:
