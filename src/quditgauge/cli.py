@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fixtures, model, oracle, varsim
+from . import __version__, fixtures, model, varsim
 from .ansatz import random_initial_params
 from .config import ConfigError, RunConfig, config_hash, load_config, validate_config
-from .core import QuditRegister, entanglement_entropy
 from .model import CapError
 
 EXIT_CONFIG = 2
@@ -157,13 +156,8 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
     rows = []
     energy0 = float(np.vdot(ctx.psi0.amplitudes, ctx.spectrum @ ctx.psi0.amplitudes).real)
     for k in range(ev.steps + 1):
-        t = k * ev.dt
-        psi = oracle.evolve_real(spec, ctx.psi0.amplitudes, t)
-        probs = np.abs(psi) ** 2
-        ent = entanglement_entropy(
-            QuditRegister(ctx.psi0.num_qudits, ctx.psi0.local_dim, psi), ctx.cut
-        )
-        rows.append([k, t, energy0, *(ctx.n_diags @ probs), ent])
+        _, row = varsim.exact_row(ctx, k, k * ev.dt)
+        rows.append([k, row["time"], energy0, *row["numbers"], row["entropy"]])
     _write_csv(out / "exact.csv", header, rows, cfg_hash, cfg.output.precision)
     return 0
 

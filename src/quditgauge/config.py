@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 
-# Largest register the randomized estimator averages Haar-random unitaries over.
+# Largest register the randomized estimator runs on: its stacked operators take (P + 1) D^2 16 bytes.
 RANDOMIZED_MAX_DIM = 81
 
 
@@ -53,7 +53,7 @@ class EstimatorConfig:
     mode: str = "exact"  # exact | shift | hadamard | randomized
     shots: int | None = None
     seed: int = 0
-    samples: int = 200  # randomized mode only
+    samples: int = 200  # randomized mode only: snapshots per EOM, shared by every element
 
 
 @dataclass(frozen=True)

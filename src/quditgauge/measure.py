@@ -14,9 +14,10 @@ Three routes are provided besides exact linear algebra:
   commutators).  No ancilla is simulated: one stage sweep per theta inserts
   u_p and u_p^dag after every gate p, each noiseless word <W> is an overlap
   of the sweep's rows, and the test reads P(+) = (1 + Re e^{i alpha} <W>)/2.
-* global random unitaries: the connected anticommutator from second and
-  third moments of Haar-random expectation values, over Heisenberg
-  generators read off one tangent sweep per basis state.
+* global random unitaries: every connected anticommutator from the third
+  Haar moment of one set of random-unitary snapshots, over the Heisenberg
+  generators (read off one tangent sweep per basis state) and H~, all made
+  traceless.
 
 Each route returns (psi, M, v) at one theta; ``varsim.make_estimator``
 picks it.  With shots set, one generator per call replaces every elementary
@@ -38,6 +39,7 @@ from .oracle import Spectrum
 
 MAX_PLAN_TRIES = 64
 RANK_COND_LIMIT = 1e8
+_SNAPSHOT_BLOCK = 256  # randomized snapshots per product: 27 MB of outer products at D = 81
 
 
 @dataclass(frozen=True)
@@ -406,12 +408,39 @@ def hadamard_eom(
     return words.psi, m, v
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+def _snapshot_anticommutators(ops: np.ndarray, psi0: np.ndarray, samples: int, rng) -> np.ndarray:
+    """Connected anticommutators <{A_k, A_l}>_0 - 2<A_k>_0<A_l>_0 of stacked ``ops`` from one snapshot set.
+
+    A Haar-random U enters only through phi = U psi0, a uniformly random unit
+    vector, so each of the ``samples`` snapshots is a normalized complex
+    Gaussian vector.  With every operator made traceless (which leaves the
+    connected anticommutator alone), the third Haar moment gives
+
+        <{A, B}>_0 = D (D + 1) E[<A>_phi <B>_phi ((D + 2) |<psi0|phi>|^2 - 1)],
+
+    so one weighted product of the snapshot expectations gives the whole
+    matrix.  Every element reads the same snapshots, as on a device.
+    """
+    dim = ops.shape[-1]
+    if dim > RANDOMIZED_MAX_DIM:
+        raise ValueError(f"randomized estimation is limited to dimension <= {RANDOMIZED_MAX_DIM}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    centered = ops - (np.trace(ops, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    flat = centered.reshape(len(ops), dim * dim)
+    phi = rng.standard_normal((samples, dim)) + 1.0j * rng.standard_normal((samples, dim))
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    # <phi|A_k|phi> for every snapshot and operator: one product per block
+    # of snapshots, so the D^2 outer products never take more than a block
+    values = np.concatenate(
+        [
+            ((blk.conj()[:, :, None] * blk[:, None, :]).reshape(len(blk), -1) @ flat.T).real
+            for blk in np.array_split(phi, -(-samples // _SNAPSHOT_BLOCK))
+        ]
+    )
+    weights = (dim + 2.0) * np.abs(phi @ psi0.conj()) ** 2 - 1.0
+    mean0 = (flat @ (np.conj(psi0)[:, None] * psi0[None, :]).ravel()).real
+    return dim * (dim + 1.0) / samples * (values.T * weights) @ values - 2.0 * np.outer(mean0, mean0)
 
 
 def randomized_connected_anticommutator(
@@ -421,29 +450,8 @@ def randomized_connected_anticommutator(
     samples: int,
     rng,
 ) -> float:
-    """Connected anticommutator <{A, B}>_0 - 2<A>_0<B>_0 from global random unitaries.
-
-    Averages <A>_u <B>_u [(N+2) <rho_0>_u - 1] over Haar draws; the trace
-    terms and the connected correction are subtracted exactly.
-    """
-    dim = a.shape[0]
-    if dim > RANDOMIZED_MAX_DIM:
-        raise ValueError(f"randomized estimation is limited to dimension <= {RANDOMIZED_MAX_DIM}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    acc = 0.0
-    for _ in range(samples):
-        u = haar_unitary(dim, rng)
-        phi = u @ psi0
-        ea = float(np.vdot(phi, a @ phi).real)
-        eb = float(np.vdot(phi, b @ phi).real)
-        r0 = float(abs(np.vdot(psi0, phi)) ** 2)
-        acc += ea * eb * ((dim + 2.0) * r0 - 1.0)
-    bracket = dim * (dim + 1.0) * acc / samples
-    ea0 = float(np.vdot(psi0, a @ psi0).real)
-    eb0 = float(np.vdot(psi0, b @ psi0).real)
-    bracket -= float(np.trace(a).real) * eb0 + float(np.trace(b).real) * ea0
-    return bracket - 2.0 * ea0 * eb0
+    """Connected anticommutator <{A, B}>_0 - 2<A>_0<B>_0 from ``samples`` random-unitary snapshots."""
+    return float(_snapshot_anticommutators(np.stack([a, b]), psi0, samples, rng)[0, 1])
 
 
 def heisenberg_generators(circuit: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -463,23 +471,16 @@ def heisenberg_generators(circuit: Circuit, theta) -> tuple[np.ndarray, np.ndarr
 def randomized_eom(
     circuit: Circuit, theta, psi0: QuditRegister, spectrum: Spectrum, samples: int, seed: int
 ) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
-    """State, metric and real-time vector from global random unitaries.
+    """State, metric and real-time vector from one set of ``samples`` random-unitary snapshots.
 
-    Each element averages its own ``samples`` Haar draws, all from one
-    generator: the metric's upper triangle row by row, then the vector.
+    The P Heisenberg generators and H~ = U^dag H U are stacked, so
+    M = C[:P, :P] / 2 and v = C[:P, P] of their connected anticommutators C.
     """
-    rng = np.random.default_rng(seed)
-    npar = circuit.num_params
     u, gens = heisenberg_generators(circuit, theta)
     h_tilde = u.conj().T @ (spectrum @ u)
     amps = psi0.amplitudes
-    m = np.zeros((npar, npar))
-    for mu in range(npar):
-        for nu in range(mu, npar):
-            m[mu, nu] = m[nu, mu] = 0.5 * randomized_connected_anticommutator(
-                gens[mu], gens[nu], amps, samples, rng
-            )
-    v = np.array(
-        [randomized_connected_anticommutator(gens[mu], h_tilde, amps, samples, rng) for mu in range(npar)]
-    )
-    return circuit.state(theta, psi0), m, v
+    rng = np.random.default_rng(seed)
+    c = _snapshot_anticommutators(np.concatenate([gens, h_tilde[None]]), amps, samples, rng)
+    npar = circuit.num_params
+    psi = QuditRegister(psi0.num_qudits, psi0.local_dim, u @ amps)
+    return psi, 0.5 * c[:npar, :npar], c[:npar, npar]

@@ -92,8 +92,8 @@ def solve_flow(
 ) -> tuple[np.ndarray, SolveInfo]:
     """Least-squares solve of M theta_dot = v by spectral pseudo-inversion.
 
-    Eigendirections below ``cutoff`` times the largest eigenvalue are
-    discarded.
+    Eigendirections below ``cutoff`` times the largest eigenvalue, and every
+    one that is not positive, are discarded.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -103,9 +103,7 @@ def solve_flow(
     sym = (m + m.T) / 2.0
     w, q = np.linalg.eigh(sym)
     eig_min, eig_max = float(w[0]), float(w[-1])
-    keep = w >= cutoff * max(eig_max, 0.0)
-    if eig_max <= 0.0:
-        keep = np.zeros_like(w, dtype=bool)
+    keep = (w > 0.0) & (w >= cutoff * eig_max)
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     theta_dot = q @ (inv * (q.T @ v))
     kept = w[keep]
@@ -200,6 +198,16 @@ class RunContext:
         ops = model_mod.fermion_number_ops(ham_spec.lattice, cfg.model.electric_offset)
         n_diags = np.stack([lift_diagonal(op, n).real for op in ops])
         return cls(ham_spec, spectrum, circuit, psi0, n_diags, entropy_cut(cfg))
+
+
+def exact_row(ctx: RunContext, step: int, t: float) -> tuple[np.ndarray, dict]:
+    """The exact state at time t and its reference row: time, site numbers, entanglement entropy."""
+    ref = oracle.evolve_real(ctx.spectrum, ctx.psi0.amplitudes, t)
+    if not np.all(np.isfinite(ref)):
+        raise RuntimeError(f"step {step}: non-finite exact state at t = {t:g}")
+    ref_state = QuditRegister(ctx.psi0.num_qudits, ctx.psi0.local_dim, ref)
+    numbers = ctx.n_diags @ (np.abs(ref) ** 2)
+    return ref, {"time": t, "numbers": numbers, "entropy": entanglement_entropy(ref_state, ctx.cut)}
 
 
 def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
@@ -349,20 +357,10 @@ def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
     exact_rows: list[dict] = []
     for k in range(ev.steps + 1):
         t = k * ev.dt
-        ref = oracle.evolve_real(ctx.spectrum, ctx.psi0.amplitudes, t)
-        if not np.all(np.isfinite(ref)):
-            raise RuntimeError(f"step {k}: non-finite exact state at t = {t:g}")
+        ref, row = exact_row(ctx, k, t)
         eom, dot, info = _checked_flow(est, theta, "real", 0.5, ev, k)
         records.append(snapshot(ctx, theta, k, t, ref, eom, info.retained_cond))
-        probs = np.abs(ref) ** 2
-        ref_state = QuditRegister(ctx.psi0.num_qudits, ctx.psi0.local_dim, ref)
-        exact_rows.append(
-            {
-                "time": t,
-                "numbers": ctx.n_diags @ probs,
-                "entropy": entanglement_entropy(ref_state, ctx.cut),
-            }
-        )
+        exact_rows.append(row)
         if k == ev.steps:
             break
         theta = integrate_step(theta, deriv, ev.dt, ev.integrator, k1=dot)

@@ -400,8 +400,8 @@ class TestErrorPaths:
 class TestNumericalFailure:
     # dt = 1e308 overshoots at once: the ground search runs out of halvings
     # (it used to take the uphill step and write "tau": Infinity with exit 0),
-    # and the quench's exact reference overflows
-    @pytest.mark.parametrize("command,mode", [("ground", "vite"), ("quench", "vrte")])
+    # and the exact reference of the quench and of the exact command overflows
+    @pytest.mark.parametrize("command,mode", [("ground", "vite"), ("quench", "vrte"), ("exact", "vrte")])
     def test_runaway_step_exits_3_naming_the_step(self, tmp_path, capsys, command, mode):
         data = {
             "model": {"dimension": 1, "num_links": 3},
@@ -413,7 +413,7 @@ class TestNumericalFailure:
         with np.errstate(all="ignore"):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
         assert re.search(r"numerical failure: step \d+: ", capsys.readouterr().err)
-        assert not (out / "final.json").exists()
+        assert not (out / "final.json").exists() and not list(out.glob("*.csv"))
 
 
 class TestBootstrap:

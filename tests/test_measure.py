@@ -14,7 +14,6 @@ from quditgauge.measure import (
     fourier_derivative,
     fourier_value,
     hadamard_test,
-    haar_unitary,
     heisenberg_generators,
     randomized_connected_anticommutator,
     shift_eom,
@@ -295,7 +294,7 @@ class TestHadamardTest:
         rng = np.random.default_rng(20)
         psi = random_state(3, rng)
         reg = basis_state(1, 3, [0]).__class__(1, 3, psi)
-        w = haar_unitary(3, rng)
+        w = series_expm(1.0j * random_hermitian(3, rng))
         op = LocalOperator(3, (0,), w)
         expect = np.vdot(psi, w @ psi)
         p_re = hadamard_test(reg, [(op, True)], 0.0)
@@ -576,7 +575,73 @@ class TestRandomized:
         assert np.max(np.abs(u - prefix)) < 1e-12
         assert np.max(np.abs(gens - want)) < 1e-12
 
-    def test_haar_unitary_is_unitary(self):
-        rng = np.random.default_rng(28)
-        u = haar_unitary(9, rng)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(9))) < 1e-12
+
+def real_chain_context():
+    cfg = parse_config(
+        {
+            "model": {"dimension": 1, "num_links": 3},
+            "ansatz": {"family": "chain", "layers": 1},
+            "evolution": {"mode": "vrte"},
+            "estimator": {"mode": "randomized"},
+        }
+    )
+    return cfg, RunContext.from_config(cfg)
+
+
+class TestRandomizedEom:
+    """The whole randomized route: one snapshot set per EOM on the L=3 N=1 real-time chain (P=14)."""
+
+    def test_no_qr_and_no_state_simulation(self, monkeypatch):
+        cfg, ctx = real_chain_context()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(Circuit, "state", refuse)
+        theta = np.random.default_rng(47).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        eom = make_estimator(cfg.estimator, ctx)(theta, "real")
+        exact = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, "real")
+        assert np.max(np.abs(eom.psi.amplitudes - exact.psi.amplitudes)) < 1e-14
+        assert np.all(np.isfinite(eom.m)) and np.all(np.isfinite(eom.v))
+
+    def test_elements_share_one_snapshot_set(self):
+        # the pair estimator with the EOM's seed reads the same snapshots, so
+        # it reproduces the EOM's elements up to roundoff
+        _, ctx = real_chain_context()
+        theta = np.random.default_rng(48).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        psi, m, v = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 50, 9)
+        u, gens = heisenberg_generators(ctx.circuit, theta)
+        h_tilde = u.conj().T @ (ctx.spectrum @ u)
+        amps = ctx.psi0.amplitudes
+
+        def pair(a, b):
+            return randomized_connected_anticommutator(a, b, amps, 50, np.random.default_rng(9))
+
+        assert pair(gens[2], gens[5]) == pytest.approx(2 * m[2, 5], rel=1e-10, abs=1e-12)
+        assert pair(gens[3], h_tilde) == pytest.approx(v[3], rel=1e-10, abs=1e-12)
+
+    def test_slope_on_exact_is_one_with_power(self):
+        # Per trial, the least-squares slope of the estimate (M's upper
+        # triangle and v) on the exact values.  The elements of one trial are
+        # correlated, but the trials are independent, so the standard error
+        # of the mean slope holds.  No per-element check: the largest of 119
+        # correlated, heavy-tailed per-element |z| values reads 3.2 over these
+        # trials, so a 3-SE bound on every element would fail unbiased code.
+        _, ctx = real_chain_context()
+        theta = np.random.default_rng(46).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        exact = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, "real")
+        upper = np.triu_indices(ctx.circuit.num_params)
+        want = np.concatenate([exact.m[upper], exact.v])
+        slopes = []
+        for s in range(80):
+            _, m, v = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 2000, s)
+            slopes.append(np.concatenate([m[upper], v]) @ want / (want @ want))
+        slopes = np.array(slopes)
+
+        def within_three_se(values):
+            return abs(values.mean() - 1.0) < 3 * values.std(ddof=1) / np.sqrt(len(values))
+
+        assert within_three_se(slopes)
+        assert not within_three_se(1.2 * slopes)
+        assert not within_three_se(0.8 * slopes)

@@ -272,6 +272,12 @@ class TestSolveFlow:
         with pytest.raises(ValueError):
             solve_flow(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
 
+    def test_cutoff_zero_drops_zero_eigenvalues(self):
+        m = np.diag([1.0, 0.0, 2.0])
+        dot, info = solve_flow(m, np.array([3.0, 5.0, 4.0]), cutoff=0.0)
+        assert np.array_equal(dot, [3.0, 0.0, 2.0])
+        assert info.rank == 2
+
 
 class TestIntegrateStep:
     def test_zero_derivative(self):
@@ -431,6 +437,23 @@ class TestQuench:
         assert recs[0].fidelity == pytest.approx(1.0, abs=1e-12)
         assert recs[0].entropy == pytest.approx(0.0, abs=1e-12)
         assert exact_rows[0]["entropy"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", sorted(ESTIMATOR_MODELS))
+    def test_cutoff_zero_from_theta_zero_stays_finite(self, model_name):
+        # theta = 0 leaves exact zero eigenvalues in M (6 on the chain, 20 on
+        # the plaquette), which a cutoff of 0 must still drop
+        model_cfg, ansatz_cfg = ESTIMATOR_MODELS[model_name]
+        cfg = parse_config(
+            {
+                "model": model_cfg,
+                "ansatz": ansatz_cfg,
+                "evolution": {"mode": "vrte", "dt": 0.02, "steps": 3, "integrator": "rk4", "cutoff": 0.0},
+            }
+        )
+        with np.errstate(divide="raise", invalid="raise"):
+            recs, _, _ = run_quench(cfg)
+        assert len(recs) == 4
+        assert all(np.all(np.isfinite(r.theta)) and np.isfinite(r.fidelity) for r in recs)
 
     def test_single_generator_ansatz_reproduces_exact_flow(self):
         # H equals the gate generator, so theta(t) = t is the exact solution
