@@ -69,64 +69,118 @@ def _lift(a: np.ndarray, targets: tuple[int, ...], stage_targets: tuple[int, ...
 class Stage:
     """Gates applied in turn on ``targets`` as one matrix.
 
-    ``positions`` index the circuit's gates in application order and
-    ``slots`` holds their parameter slots.  ``eigvals[k]`` and
-    ``eigvecs[k]`` are the eigenbasis of gate k's generator, lifted to
-    ``targets``, so one batched exponential builds every gate matrix.
+    ``positions`` index the circuit's gates in application order.
     """
 
     targets: tuple[int, ...]
     positions: tuple[int, ...]
-    slots: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def unitaries(self, theta: np.ndarray) -> np.ndarray:
-        """exp(-i theta G_k) of every gate k, exactly the identity where theta = 0."""
+
+@dataclass(frozen=True)
+class StageGroup:
+    """The stages of one block size, right-aligned so that one batched call builds all their matrices.
+
+    ``stages`` index ``Circuit.stages``.  Stage i's gates fill the last of
+    the places j of ``pad`` (``pad[j, i]`` marks the identities before
+    them).  Gate g of the group sits at place ``place[0][g]`` of stage
+    ``place[1][g]`` and reads parameter slot ``slots[g]``; ``eigvals[g]``
+    and ``eigvecs_dag[g]`` are the eigenbasis of its generator, lifted to
+    the stage's targets.
+    """
+
+    stages: tuple[int, ...]
+    pad: np.ndarray
+    place: tuple[np.ndarray, np.ndarray]
+    slots: np.ndarray
+    eigvals: np.ndarray
+    eigvecs_dag: np.ndarray
+
+    def suffixes(self, theta: np.ndarray) -> np.ndarray:
+        """after[j, i] = M_w ... M_j of stage i's place matrices M.
+
+        after[0] holds the stage unitaries, and after[j + 1] carries a matrix
+        inserted after place j to the stage's output.  A gate at theta = 0
+        is exactly the identity.
+        """
         t = theta[self.slots]
-        phases = np.exp(-1.0j * t[:, None] * self.eigvals)
-        mats = (self.eigvecs * phases[:, None, :]) @ self.eigvecs.conj().swapaxes(1, 2)
+        phases = np.exp(-1.0j * t[:, None] * self.eigvals)[:, None, :]
+        mats = (self.eigvecs_dag.conj().swapaxes(-1, -2) * phases) @ self.eigvecs_dag
+        eye = np.eye(mats.shape[-1])
         zero = t == 0.0
         if zero.any():
-            mats[zero] = np.eye(self.eigvals.shape[1])
-        return mats
+            mats[zero] = eye
+        after = np.empty(self.pad.shape + mats.shape[1:], dtype=complex)
+        after[self.pad] = eye
+        after[self.place] = mats
+        for j in range(len(after) - 2, -1, -1):
+            np.matmul(after[j + 1], after[j], out=after[j])
+        return after
 
-    def derivatives(
-        self, theta: np.ndarray, inserts: Sequence[tuple[int, np.ndarray]]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """U = M_K ... M_1 and, for each (k, O) in ``inserts``, (M_K ... M_{k+1}) O (M_k ... M_1)."""
-        mats = self.unitaries(theta)
-        prefix = [mats[0]]
-        for m in mats[1:]:
-            prefix.append(m @ prefix[-1])
-        suffix = [None] * len(mats)  # M_K ... M_{k+1}; None while it is the identity
-        if inserts:
-            for k in range(len(mats) - 2, -1, -1):
-                after = suffix[k + 1]
-                suffix[k] = mats[k + 1] if after is None else after @ mats[k + 1]
-        ders = []
-        for k, op in inserts:
-            der = op @ prefix[k]
-            ders.append(der if suffix[k] is None else suffix[k] @ der)
-        return prefix[-1], ders
+
+@dataclass(frozen=True)
+class GroupInserts:
+    """One plan's inserted matrices on one stage group, each pushed to its stage's output.
+
+    An insert O after place j becomes B = S O S^dag with S = after[j + 1],
+    so that B applied to the stage's output state is O inserted after its
+    gate.  ``ops`` are the lifted O's, sorted by stage and then by the
+    stage's rows in first-touch order; ``inner`` indexes those not after
+    their stage's last gate (the others have S = 1), read at
+    after[``place``, ``stage``].  Inserts that feed one row of one stage sum
+    into one B: ``starts`` begins each sum (None when every sum has one
+    term), and stage s applies sums ``lo:hi`` for each (s, lo, hi) in
+    ``spans``.
+    """
+
+    ops: np.ndarray
+    inner: np.ndarray
+    place: np.ndarray
+    stage: np.ndarray
+    starts: np.ndarray | None
+    spans: tuple[tuple[int, int, int], ...]
+
+    def matrices(self, after: np.ndarray) -> np.ndarray:
+        ops = self.ops
+        if self.inner.size:
+            s = after[self.place, self.stage]
+            ops = ops.copy()
+            ops[self.inner] = s @ self.ops[self.inner] @ s.conj().swapaxes(-1, -2)
+        return ops if self.starts is None else np.add.reduceat(ops, self.starts)
+
+
+def _selection(rows: list[int]):
+    """Bundle rows 1 + ``rows`` (row 0 holds the state or H psi) as a slice where they are contiguous."""
+    if not rows:
+        return None
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0] + 1, rows[0] + 1 + len(rows))
+    return np.array(rows) + 1
 
 
 @dataclass(frozen=True)
 class RowPlan:
     """Local matrices inserted after gates, each feeding one bundle row of a sweep.
 
-    ``inserts[s]`` lists (k, O) for stage s: O, lifted to the stage's
-    targets, goes in after the stage's gate k and feeds bundle row
-    ``rows[s][i]``, i its place in the list.  Rows are numbered in the order
-    insertions first touch them; ``active[s]`` counts the rows in use when
-    stage s starts, and ``order[key]`` is the row of key ``key``.
+    ``groups[g]`` holds the inserts on the circuit's stage group g.  Rows
+    are numbered twice: forward, in the order the stages first touch them
+    from the circuit's start, and backward, from its end.  ``fwd[s]`` and
+    ``bwd[s]`` select stage s's rows in each numbering (None when it has
+    none); ``fwd_live[s]`` counts the rows touched before stage s and
+    ``bwd_live[s]`` those touched at stage s or later.  ``order[key]`` is
+    the forward row of key ``key`` and ``meet[r]`` that of backward row r.
+    ``middle`` is the frame that needs the fewest row applications for a
+    sweep that also pulls H psi back.
     """
 
-    inserts: tuple[tuple[tuple[int, np.ndarray], ...], ...]
-    rows: tuple[tuple[int, ...], ...]
-    active: tuple[int, ...]
+    groups: tuple[GroupInserts, ...]
+    fwd: tuple
+    bwd: tuple
+    fwd_live: tuple[int, ...]
+    bwd_live: tuple[int, ...]
     order: np.ndarray
+    meet: np.ndarray
+    middle: int
 
 
 @dataclass(frozen=True)
@@ -183,72 +237,192 @@ class Circuit:
                 if j is not None and _is_adjacent_pair(runs[j][0]):
                     folded[j] += positions
                     continue
-            stages.append(self._stage(targets, positions))
+            stages.append(Stage(targets, tuple(positions), core.batch_kernel(self.num_qudits, self.local_dim, targets)))
         return tuple(stages)
 
-    def _stage(self, targets: tuple[int, ...], positions: list[int]) -> Stage:
+    @cached_property
+    def stage_groups(self) -> tuple[StageGroup, ...]:
+        """The stages grouped by block size, built on first use."""
+        by_size: dict[int, list[int]] = {}
+        for s, st in enumerate(self.stages):
+            by_size.setdefault(len(st.targets), []).append(s)
+        return tuple(self._group(idx) for idx in by_size.values())
+
+    def _group(self, idx: list[int]) -> StageGroup:
         d = self.local_dim
-        eigvals, eigvecs = [], []
-        for p in positions:
-            w, v = np.linalg.eigh(self.gates[p].generator.matrix)
-            eigvals.append(_lift(w, self.gates[p].targets, targets, d))
-            eigvecs.append(_lift(v, self.gates[p].targets, targets, d))
-        return Stage(
-            targets,
-            tuple(positions),
-            np.array([self.gates[p].slot for p in positions]),
+        members = [self.stages[s] for s in idx]
+        width = max(len(st.positions) for st in members)
+        pad = np.ones((width, len(idx)), dtype=bool)
+        place, slots, eigvals, eigvecs = ([], []), [], [], []
+        for i, st in enumerate(members):
+            for j, p in enumerate(st.positions, start=width - len(st.positions)):
+                gate = self.gates[p]
+                w, v = np.linalg.eigh(gate.generator.matrix)
+                pad[j, i] = False
+                place[0].append(j)
+                place[1].append(i)
+                slots.append(gate.slot)
+                eigvals.append(_lift(w, gate.targets, st.targets, d))
+                eigvecs.append(_lift(v, gate.targets, st.targets, d))
+        return StageGroup(
+            tuple(idx),
+            pad,
+            (np.array(place[0]), np.array(place[1])),
+            np.array(slots),
             np.stack(eigvals),
-            np.stack(eigvecs),
-            core.batch_kernel(self.num_qudits, d, targets),
+            np.ascontiguousarray(np.stack(eigvecs).conj().swapaxes(-1, -2)),
         )
 
     def row_plan(self, ops: Sequence[Sequence[tuple[int, np.ndarray]]]) -> RowPlan:
         """Plan a sweep that inserts each (key, O) of ``ops[p]`` after gate p.
 
-        O acts on gate p's targets.  Keys must be 0 .. R-1; they get bundle
-        rows in the order the insertions first touch them.
+        O acts on gate p's targets.  Keys must be 0 .. R-1.  ``middle``
+        minimizes the rows the kernels apply: a stage before the frame
+        pushes the state and its live rows and applies one matrix per row
+        it touches; a stage from the frame on pushes the state, applies its
+        matrices, and pulls H psi and its live rows back.
         """
-        row_of: dict[int, int] = {}
-        inserts, rows, active = [], [], []
+        d = self.local_dim
+        touched = []  # per stage: key -> [(place in the stage, lifted O)], in first-touch order
         for st in self.stages:
-            active.append(len(row_of))
-            here = [(k, p, key, op) for k, p in enumerate(st.positions) for key, op in ops[p]]
-            inserts.append(
-                tuple((k, _lift(op, self.gates[p].targets, st.targets, self.local_dim)) for k, p, _, op in here)
-            )
-            rows.append(tuple(row_of.setdefault(key, len(row_of)) for _, _, key, _ in here))
-        order = np.empty(len(row_of), dtype=np.intp)
-        for key, row in row_of.items():
-            order[key] = row
-        return RowPlan(tuple(inserts), tuple(rows), tuple(active), order)
+            here: dict[int, list] = {}
+            for k, p in enumerate(st.positions):
+                for key, op in ops[p]:
+                    here.setdefault(key, []).append((k, _lift(op, self.gates[p].targets, st.targets, d)))
+            touched.append(here)
+        last = len(touched)
+        fwd_row: dict[int, int] = {}
+        fwd_live = []
+        for here in touched:
+            fwd_live.append(len(fwd_row))
+            for key in here:
+                fwd_row.setdefault(key, len(fwd_row))
+        fwd_live.append(len(fwd_row))
+        bwd_row: dict[int, int] = {}
+        bwd_live = [0] * (last + 1)
+        for s in range(last - 1, -1, -1):
+            for key in touched[s]:
+                bwd_row.setdefault(key, len(bwd_row))
+            bwd_live[s] = len(bwd_row)
+        count = [len(here) for here in touched]
+        ahead = np.cumsum([0] + [1 + fwd_live[s] + count[s] for s in range(last)])
+        behind = np.cumsum([0] + [2 + bwd_live[s] + count[s] for s in range(last - 1, -1, -1)])[::-1]
+        return RowPlan(
+            tuple(self._group_inserts(group, touched) for group in self.stage_groups),
+            tuple(_selection([fwd_row[key] for key in here]) for here in touched),
+            tuple(_selection([bwd_row[key] for key in here]) for here in touched),
+            tuple(fwd_live),
+            tuple(bwd_live),
+            np.array([fwd_row[key] for key in sorted(fwd_row)], dtype=np.intp),
+            np.array([fwd_row[key] for key in bwd_row], dtype=np.intp),
+            int(np.argmin(ahead + behind)),
+        )
+
+    def _group_inserts(self, group: StageGroup, touched: list[dict]) -> GroupInserts:
+        width, b = len(group.pad), group.eigvals.shape[-1]
+        ops, inner, place, stage, starts, spans = [], [], [], [], [], []
+        for i, s in enumerate(group.stages):
+            offset = width - len(self.stages[s].positions)
+            lo = len(starts)
+            for entries in touched[s].values():
+                starts.append(len(ops))
+                for k, op in entries:
+                    if offset + k < width - 1:
+                        inner.append(len(ops))
+                        place.append(offset + k + 1)
+                        stage.append(i)
+                    ops.append(op)
+            if len(starts) > lo:
+                spans.append((s, lo, len(starts)))
+        return GroupInserts(
+            np.array(ops, dtype=complex).reshape(-1, b, b),
+            np.array(inner, dtype=np.intp),
+            np.array(place, dtype=np.intp),
+            np.array(stage, dtype=np.intp),
+            None if len(starts) == len(ops) else np.array(starts, dtype=np.intp),
+            tuple(spans),
+        )
 
     @cached_property
     def tangent_plan(self) -> RowPlan:
         """-iG inserted after every gate, one bundle row per parameter slot."""
         return self.row_plan([[(g.slot, -1.0j * g.generator.matrix)] for g in self.gates])
 
-    def sweep(self, theta: Sequence[float], psi0: QuditRegister, plan: RowPlan | None = None):
-        """State and every row of ``plan`` in one pass over the stages.
+    def _stage_matrices(self, theta: np.ndarray, plan: RowPlan) -> tuple[list, list]:
+        """Every stage's unitary and its stacked inserts pushed to its output (None without inserts)."""
+        us, bs = [None] * len(self.stages), [None] * len(self.stages)
+        for group, inserts in zip(self.stage_groups, plan.groups):
+            after = group.suffixes(theta)
+            for i, s in enumerate(group.stages):
+                us[s] = after[0, i]
+            if inserts.spans:
+                pushed = inserts.matrices(after)
+                for s, lo, hi in inserts.spans:
+                    bs[s] = pushed[lo:hi]
+        return us, bs
 
-        Returns (psi, rows) where rows[key] sums, over the insertions with
-        that key, the circuit run from psi0 with O inserted after its gate.
-        Each stage pushes the rows already in use through its unitary once,
-        then adds each inserted D applied to the state before the stage into
-        its row, so at most R rows are in flight.  With no plan, rows is empty.
+    def sweep(
+        self,
+        theta: Sequence[float],
+        psi0: QuditRegister,
+        plan: RowPlan | None = None,
+        frame: int | None = None,
+        ham=None,
+    ):
+        """State and every row of ``plan``, in the frame before stage ``frame``.
+
+        Returns (psi, rows, ref).  psi is the circuit's output state.
+        rows[key] sums, over the insertions with that key, the circuit run
+        from psi0 with O inserted after its gate, pulled back through the
+        stages from ``frame`` on (by default none: the output frame).  ref
+        stacks the state in that frame and, given ``ham`` (anything with
+        ``@``), H psi pulled back with the rows; inner products do not
+        depend on the frame.
+
+        The stages before the frame run forward: each pushes the state, and
+        the rows in use in a second kernel call, through its unitary, then
+        adds its stacked inserts, applied to the new state in one call, into
+        its rows.  The state runs on to the end.  The stages from the frame on
+        then run backward: each adds its inserts, applied to its output
+        state, into its rows and pulls H psi and the rows in use back.  With
+        no plan, rows is empty.
         """
         theta = self._check_theta(theta)
         if plan is None:
             plan = self._no_rows
-        bundle = np.zeros((plan.order.size, psi0.dim), dtype=complex)
-        phi = psi0.amplitudes.reshape(1, -1)
-        for st, inserts, rows, active in zip(self.stages, plan.inserts, plan.rows, plan.active):
-            u, ders = st.derivatives(theta, inserts)
-            if active:
-                bundle[:active] = st.kernel(bundle[:active], u)
-            for row, der in zip(rows, ders):
-                bundle[row] += st.kernel(phi, der)[0]
-            phi = st.kernel(phi, u)
-        return QuditRegister(psi0.num_qudits, self.local_dim, phi.reshape(-1)), bundle[plan.order]
+        stages, last = self.stages, len(self.stages)
+        m = last if frame is None else frame
+        if not 0 <= m <= last:
+            raise ValueError(f"frame {m} out of range for {last} stages")
+        us, bs = self._stage_matrices(theta, plan)
+        # every row in forward numbering, after the state; rows first
+        # touched from the frame on stay zero until the backward rows meet them
+        fwd = np.zeros((1 + plan.order.size, psi0.dim), dtype=complex)
+        fwd[0] = psi0.amplitudes
+        for s in range(m):
+            kernel, live = stages[s].kernel, 1 + plan.fwd_live[s]
+            fwd[:1] = kernel(fwd[:1], us[s])  # alone, so every sweep gives the same state bit for bit
+            if live > 1:
+                fwd[1:live] = kernel(fwd[1:live], us[s])
+            if bs[s] is not None:
+                fwd[plan.fwd[s]] += kernel(fwd[:1], bs[s])
+        outs = [fwd[:1]]
+        for s in range(m, last):
+            outs.append(stages[s].kernel(outs[-1], us[s]))
+        psi = outs[-1][0].copy()
+        back = np.zeros((1 + plan.bwd_live[m], psi0.dim), dtype=complex)
+        first = 1
+        if ham is not None:
+            back[0], first = ham @ psi, 0
+        for s in range(last - 1, m - 1, -1):
+            kernel, live, out = stages[s].kernel, 1 + plan.bwd_live[s], outs.pop()
+            if bs[s] is not None:
+                back[plan.bwd[s]] += kernel(out, bs[s])
+            if live > first:
+                back[first:live] = kernel(back[first:live], us[s].conj().T)
+        fwd[1 + plan.meet[: len(back) - 1]] += back[1:]
+        ref = fwd[:1].copy() if ham is None else np.stack([fwd[0], back[0]])
+        return QuditRegister(psi0.num_qudits, self.local_dim, psi), fwd[1 + plan.order], ref
 
     @cached_property
     def _no_rows(self) -> RowPlan:
@@ -257,14 +431,15 @@ class Circuit:
     def state(self, theta: Sequence[float], psi0: QuditRegister) -> QuditRegister:
         return self.sweep(theta, psi0)[0]
 
-    def tangents(self, theta: Sequence[float], psi0: QuditRegister):
+    def tangents(self, theta: Sequence[float], psi0: QuditRegister, frame: int | None = None, ham=None):
         """State and all tangent vectors in one sweep.
 
-        Returns (psi, T) where T[:, mu] = d|psi>/d theta_mu, the sum over the
-        gates sharing slot mu of the product rule.
+        Returns (psi, T, ref) where T[:, mu] = d|psi>/d theta_mu, the sum
+        over the gates sharing slot mu of the product rule, in the frame
+        before stage ``frame``; ``frame`` and ``ham`` act as in ``sweep``.
         """
-        psi, rows = self.sweep(theta, psi0, self.tangent_plan)
-        return psi, rows.T
+        psi, rows, ref = self.sweep(theta, psi0, self.tangent_plan, frame, ham)
+        return psi, rows.T, ref
 
     def describe(self) -> str:
         lines = [

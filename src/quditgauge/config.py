@@ -9,6 +9,8 @@ from pathlib import Path
 from typing import get_type_hints
 
 
+# Largest shot count a binomial draw takes: numpy's 64-bit signed integer.
+_MAX_SHOTS = 2**63 - 1
 # Largest register the randomized estimator runs on: its stacked operators take (P + 1) D^2 16 bytes.
 RANDOMIZED_MAX_DIM = 81
 
@@ -140,11 +142,15 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("the plaquette model has exactly 4 links")
     if abs(m.g) < 1e-12:
         raise ConfigError("model.g must be nonzero")
+    if not (math.isfinite(m.g * m.g / 2.0) and math.isfinite(0.5 / (m.g * m.g))):
+        raise ConfigError(f"model.g = {m.g} makes g^2/2 or 1/(2 g^2) overflow")
     a = cfg.ansatz
     if a.layers < 1:
         raise ConfigError("ansatz.layers must be positive")
     if not a.init_range > 0:
         raise ConfigError("ansatz.init_range must be positive")
+    if not math.isfinite(2.0 * a.init_range):
+        raise ConfigError(f"ansatz.init_range = {a.init_range} makes the draw's width 2 * init_range overflow")
     if a.init_seed < 0 or cfg.estimator.seed < 0:
         raise ConfigError("ansatz.init_seed and estimator.seed must be nonnegative")
     if a.family == "chain" and m.dimension != 1:
@@ -161,8 +167,8 @@ def validate_config(cfg: RunConfig) -> None:
     if not 0 <= e.cutoff < 1:
         raise ConfigError("evolution.cutoff must lie in [0, 1): a cutoff of 1 drops every direction")
     est = cfg.estimator
-    if est.shots is not None and est.shots < 1:
-        raise ConfigError("estimator.shots must be >= 1 when set")
+    if est.shots is not None and not 1 <= est.shots <= _MAX_SHOTS:
+        raise ConfigError(f"estimator.shots must lie in [1, {_MAX_SHOTS}] when set")
     if est.samples < 1:
         raise ConfigError("estimator.samples must be positive")
     if est.mode == "randomized" and 3**m.num_links > RANDOMIZED_MAX_DIM:

@@ -220,7 +220,6 @@ def plaquette_gate(theta: float, plaq_op: LocalOperator) -> LocalOperator:
 
 
 _ONE_GEMM_BLOCK = 27  # widest lifted block a single or adjacent-pair kernel applies as one GEMM
-_ZERO = np.zeros(1)
 
 
 @functools.cache
@@ -250,6 +249,9 @@ def batch_kernel(num_qudits: int, d: int, targets: Sequence[int]):
     one GEMM; otherwise as a batched matmul over the ``post`` axis.  The full
     register is one GEMM against the matrix permuted into amplitude order;
     anything else falls back to a moveaxis contraction.
+
+    A stack of n matrices applies each one to every row and returns their
+    n * batch rows, matrix-major, from the same single call.
     """
     targets = tuple(targets)
     k = len(targets)
@@ -263,11 +265,14 @@ def batch_kernel(num_qudits: int, d: int, targets: Sequence[int]):
         index = _block_index(d, k, lift)
 
         def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-            mat = np.concatenate((matrix.ravel(), _ZERO)).take(index)
-            batch = rows.shape[0]
+            flat = np.zeros(matrix.shape[:-2] + (m * m + 1,), dtype=complex)
+            flat[..., :-1] = matrix.reshape(flat.shape[:-1] + (m * m,))
+            mat = flat.take(index, axis=-1)
             if rest == 1:
-                return (rows.reshape(-1, m * lift) @ mat.T).reshape(batch, -1)
-            return np.matmul(mat, rows.reshape(-1, m, rest)).reshape(batch, -1)
+                out = rows.reshape(-1, m * lift) @ mat.swapaxes(-1, -2)
+            else:
+                out = np.matmul(mat[..., None, :, :], rows.reshape(-1, m, rest))
+            return out.reshape(-1, rows.shape[1])
 
         return run
 
@@ -280,19 +285,19 @@ def batch_kernel(num_qudits: int, d: int, targets: Sequence[int]):
         index = loc[:, None] * dim + loc[None, :]
 
         def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-            return rows @ matrix.take(index).T
+            mat = matrix.reshape(matrix.shape[:-2] + (-1,)).take(index, axis=-1)
+            return (rows @ mat.swapaxes(-1, -2)).reshape(-1, rows.shape[1])
 
         return run
 
     def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        batch = rows.shape[0]
+        batch, lead = rows.shape[0], matrix.shape[:-2]
         tensor = rows.reshape((batch,) + (d,) * num_qudits)
-        shifted = [a + 1 for a in axes]
-        moved = np.moveaxis(tensor, shifted, range(1, k + 1))
-        shape = moved.shape
-        block = moved.reshape(batch, d**k, -1)
-        out = np.matmul(matrix, block)
-        return np.moveaxis(out.reshape(shape), range(1, k + 1), shifted).reshape(batch, -1)
+        moved = np.moveaxis(tensor, [a + 1 for a in axes], range(1, k + 1))
+        out = np.matmul(matrix[..., None, :, :], moved.reshape(batch, d**k, -1)).reshape(lead + moved.shape)
+        first = len(lead) + 1
+        back = np.moveaxis(out, range(first, first + k), [a + first for a in axes])
+        return back.reshape(-1, rows.shape[1])
 
     return run
 

@@ -316,7 +316,7 @@ def hadamard_plan(circuit: Circuit) -> tuple[np.ndarray, RowPlan]:
 
 
 def _read_words(circuit, coefs, plan, theta, psi0, ham_pieces) -> _Words:
-    psi, rows = circuit.sweep(theta, psi0, plan)
+    psi, rows, _ = circuit.sweep(theta, psi0, plan)
     ham_coefs = np.array([coef for coef, _ in ham_pieces])
     ham_rows = np.array([apply(psi, op).amplitudes for _, op in ham_pieces])
     return _Words(psi, coefs, rows, ham_coefs, ham_rows)
@@ -458,13 +458,14 @@ def heisenberg_generators(circuit: Circuit, theta) -> tuple[np.ndarray, np.ndarr
     """The circuit unitary U and every Heisenberg slot generator, from one tangent sweep per basis state.
 
     G~_mu sums U_{p:1}^dag G_p U_{p:1} over the gates p of slot mu.  The
-    tangents T of U e_j are -i U G~ e_j, so column j of G~_mu is
-    i (U^dag T)[:, mu].  Returns (U, G~) with G~[mu] the generator of slot mu.
+    tangents of U e_j, pulled back to the circuit's input (frame 0), are
+    T_in = -i G~ e_j, so column j of G~_mu is i T_in[:, mu].  Returns (U, G~)
+    with G~[mu] the generator of slot mu.
     """
     n, d = circuit.num_qudits, circuit.local_dim
-    sweeps = [circuit.tangents(theta, QuditRegister(n, d, e_j)) for e_j in np.eye(d**n, dtype=complex)]
-    u = np.stack([psi.amplitudes for psi, _ in sweeps], axis=1)
-    cols = np.stack([1.0j * (u.conj().T @ t) for _, t in sweeps])  # [j, row, mu]
+    sweeps = [circuit.tangents(theta, QuditRegister(n, d, e_j), 0) for e_j in np.eye(d**n, dtype=complex)]
+    u = np.stack([psi.amplitudes for psi, _, _ in sweeps], axis=1)
+    cols = np.stack([1.0j * t for _, t, _ in sweeps])  # [j, row, mu]
     return u, np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 

@@ -63,21 +63,22 @@ def exact_eom(
     vector is dE/dtheta = 2 Re <d_mu psi|H|psi> for ``kind='imag'`` and, for
     ``kind='real'``, 2 Im <d_mu psi|H|psi> plus the global-phase correction.
     ``ham`` is a dense matrix or a ``Spectrum``; ``ham=None`` stands for
-    H = 0, which leaves the metric alone.
+    H = 0, which leaves the metric alone.  Every inner product is read in
+    the tangent plan's middle frame, where the sweep applies the fewest rows.
     """
     if kind not in ("imag", "real"):
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
-    psi, tang = circuit.tangents(theta, psi0)
-    amp = psi.amplitudes
-    if ham is not None and ham.shape[0] != psi.dim:
+    if ham is not None and ham.shape[0] != psi0.dim:
         raise ValueError("Hamiltonian dimension does not match the register")
+    psi, tang, ref = circuit.tangents(theta, psi0, circuit.tangent_plan.middle, ham)
+    if ham is None:
+        ref = np.concatenate([ref, np.zeros_like(ref)])
     bra = tang.conj().T
-    hpsi = np.zeros_like(amp) if ham is None else ham @ amp
-    ip, hp = (bra @ np.stack([amp, hpsi], axis=1)).T  # <d_mu psi|psi>, <d_mu psi|H|psi>
+    ip, hp = (bra @ ref.T).T  # <d_mu psi|psi>, <d_mu psi|H|psi>
     gram = bra @ tang
     m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
     m = (m + m.T) / 2.0
-    energy = float(np.vdot(amp, hpsi).real)
+    energy = float(np.vdot(ref[0], ref[1]).real)
     if kind == "imag":
         v = 2.0 * hp.real
     else:

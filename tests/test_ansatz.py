@@ -12,6 +12,7 @@ from quditgauge.ansatz import (
     random_initial_params,
 )
 from quditgauge.core import (
+    QuditRegister,
     basis_state,
     crot_gate,
     crot_generator,
@@ -22,7 +23,7 @@ from quditgauge.core import (
     rz_gate,
 )
 
-from helpers import kron_lift
+from helpers import kron_lift, random_hermitian, random_state
 
 
 def vacuum(num_qudits):
@@ -198,6 +199,15 @@ def four_qudit_circuit(specs) -> Circuit:
     return Circuit(tuple(gates), len(gates), 4, d, 1, "hand")
 
 
+def selected_rows(sel):
+    """The bundle rows a stage selection names, without the state row 0."""
+    if sel is None:
+        return []
+    if isinstance(sel, slice):
+        return list(range(sel.start - 1, sel.stop - 1))
+    return [int(r) - 1 for r in sel]
+
+
 class TestStagePlan:
     def test_stage_boundaries_and_rows(self):
         # runs (1,) (2,) (1,) (0, 1) (2, 0) (0,): the second run on qudit 1
@@ -207,10 +217,22 @@ class TestStagePlan:
         assert [st.targets for st in circ.stages] == [(1,), (2,), (0, 1), (2, 0), (0,)]
         assert [st.positions for st in circ.stages] == [(0, 1), (2,), (3, 4), (5,), (6, 7)]
         plan = circ.tangent_plan
-        assert list(plan.rows) == [(0, 1), (2,), (0, 3), (4,), (5, 5)]
-        assert [tuple(k for k, _ in ins) for ins in plan.inserts] == [(0, 1), (0,), (0, 1), (0,), (0, 1)]
-        assert list(plan.active) == [0, 2, 3, 4, 5]
+        # stages touch slots [2, 0], [4], [2, 1], [3], [5] (slot 5 twice, summed)
+        assert [selected_rows(sel) for sel in plan.fwd] == [[0, 1], [2], [0, 3], [4], [5]]
+        assert list(plan.fwd_live) == [0, 2, 3, 4, 5, 6]
         assert list(plan.order) == [1, 3, 0, 4, 2, 5]
+        assert [selected_rows(sel) for sel in plan.bwd] == [[2, 5], [4], [2, 3], [1], [0]]
+        assert list(plan.bwd_live) == [6, 5, 4, 2, 1, 0]
+        # backward rows hold keys [5, 3, 2, 1, 4, 0]
+        assert list(plan.meet) == [5, 4, 0, 3, 2, 1]
+        # single-qudit stages 0, 1, 4 right-aligned in two places, pair stages 2, 3 likewise
+        assert [g.stages for g in circ.stage_groups] == [(0, 1, 4), (2, 3)]
+        single, pair = plan.groups
+        assert single.spans == ((0, 0, 2), (1, 2, 3), (4, 3, 4))
+        assert list(single.starts) == [0, 1, 2, 3]
+        assert list(single.inner) == [0, 3] and list(single.place) == [1, 1] and list(single.stage) == [0, 2]
+        assert pair.spans == ((2, 0, 2), (3, 2, 3)) and pair.starts is None
+        assert list(pair.inner) == [0] and list(pair.place) == [1] and list(pair.stage) == [0]
 
     def test_chain_fuses_each_rotation_block(self):
         # per layer: each link's 3-gate block folds into the MS gate after it,
@@ -241,7 +263,7 @@ class TestStagePlan:
         psi0 = vacuum(4)
         theta = np.random.default_rng(43).uniform(-np.pi, np.pi, circ.num_params)
         want_psi, want = dense_tangents(circ, theta, psi0)
-        psi, tang = circ.tangents(theta, psi0)
+        psi, tang, _ = circ.tangents(theta, psi0)
         assert np.max(np.abs(tang - want)) < 1e-12
         assert np.max(np.abs(psi.amplitudes - want_psi)) < 1e-14
 
@@ -252,10 +274,85 @@ class TestStagePlan:
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             want_psi, want = dense_tangents(circ, theta, psi0)
-            psi, tang = circ.tangents(theta, psi0)
+            psi, tang, _ = circ.tangents(theta, psi0)
             assert np.max(np.abs(tang - want)) < 1e-12
             assert np.max(np.abs(psi.amplitudes - want_psi)) < 1e-14
             assert np.max(np.abs(circ.state(theta, psi0).amplitudes - want_psi)) < 1e-14
+
+
+def every_stage_kind_circuit() -> Circuit:
+    """Four qutrits, every stage kind: six stages (2, 3), (1, 2), (3, 0), (0,), (0, 1, 2, 3), (3,).
+
+    The run on qudit 1 folds past the disjoint MS (2, 3) into MS (1, 2);
+    the CROT (3, 0) takes the non-adjacent kernel; gates 5 and 6 share slot
+    5 inside the single-qudit stage (0,); the four-body gate is a stage of
+    its own; gate 8 reuses slot 0 in the last stage (3,).
+    """
+    d = 3
+    loop = plaquette_circuit(1, "real", include_plaquette_gate=True).gates[-1].generator
+    gens = [
+        (_rotation_generator(d, 0, 2, np.pi / 2, 1), 0),
+        (_rz_generator(d, 1, 2, 1), 1),
+        (ms_generator(d, 1, 2).on(2, 3), 2),
+        (ms_generator(d, 1, 2).on(1, 2), 3),
+        (crot_generator(d).on(3, 0), 4),
+        (_rotation_generator(d, 0, 1, 0.0, 0), 5),
+        (_rz_generator(d, 0, 1, 0), 5),
+        (loop, 6),
+        (_rotation_generator(d, 1, 2, 0.0, 3), 0),
+        (_rz_generator(d, 0, 2, 3), 7),
+    ]
+    gates = tuple(Gate("rotation", gen.targets, slot, gen) for gen, slot in gens)
+    return Circuit(gates, 8, 4, d, 1, "hand")
+
+
+class TestSweepFrames:
+    """Rows of a plan whose inserts do not commute with their gates, in every frame, against dense products."""
+
+    # (gate, key) of every insert: key 0 twice inside stage (1, 2), key 5 twice
+    # inside stage (0,), keys 2 and 3 in two stages each
+    INSERTS = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 0), (4, 4), (5, 5), (6, 5), (7, 6), (7, 3), (8, 2), (9, 7)]
+
+    def test_every_frame_matches_dense_reference(self):
+        circ = every_stage_kind_circuit()
+        assert [st.targets for st in circ.stages] == [(2, 3), (1, 2), (3, 0), (0,), (0, 1, 2, 3), (3,)]
+        n, d, dim = 4, 3, 81
+        rng = np.random.default_rng(47)
+        ops = [[] for _ in circ.gates]
+        for p, key in self.INSERTS:
+            size = circ.gates[p].generator.matrix.shape[0]  # 3, 9 or 81
+            ops[p].append((key, rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))))
+        plan = circ.row_plan(ops)
+        theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+        theta[[1, 4]] = 0.0
+        psi0 = QuditRegister(n, d, random_state(dim, rng))
+        ham = random_hermitian(dim, rng)
+        gate = [kron_lift(g.matrix(theta[g.slot]), g.targets, n, d) for g in circ.gates]
+        # rows at the output, in gate order: the circuit with O inserted after gate p
+        want = np.zeros((8, dim), dtype=complex)
+        for p, inserted in enumerate(ops):
+            for key, op in inserted:
+                branch = kron_lift(op, circ.gates[p].targets, n, d) @ np.linalg.multi_dot([np.eye(dim)] + gate[p::-1])
+                want[key] += np.linalg.multi_dot([np.eye(dim)] + gate[:p:-1] + [branch, psi0.amplitudes])
+        total = np.linalg.multi_dot([np.eye(dim)] + gate[::-1])
+        out = total @ psi0.amplitudes
+        before = np.eye(dim, dtype=complex)  # the stages before frame m, in stage order
+        for m in range(len(circ.stages) + 1):
+            pull = before @ total.conj().T
+            psi, rows, ref = circ.sweep(theta, psi0, plan, m, ham)
+            assert np.max(np.abs(psi.amplitudes - out)) < 1e-13, m
+            assert np.max(np.abs(rows - want @ pull.T)) < 1e-12, m
+            assert np.max(np.abs(ref - np.stack([out, ham @ out]) @ pull.T)) < 1e-12, m
+            if m < len(circ.stages):
+                for p in circ.stages[m].positions:
+                    before = gate[p] @ before
+        assert 0 < plan.middle < len(circ.stages)
+        psi, rows, ref = circ.sweep(theta, psi0, plan)
+        assert np.max(np.abs(rows - want)) < 1e-12
+        assert np.array_equal(ref, psi.amplitudes[None])
+        for frame in (-1, len(circ.stages) + 1):
+            with pytest.raises(ValueError):
+                circ.sweep(theta, psi0, plan, frame)
 
 
 class TestTangents:
@@ -267,7 +364,7 @@ class TestTangents:
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             _, want = dense_tangents(circ, theta, psi0)
-            psi, tang = circ.tangents(theta, psi0)
+            psi, tang, _ = circ.tangents(theta, psi0)
             assert np.max(np.abs(tang - want)) < 1e-12, name
             assert np.max(np.abs(psi.amplitudes - circ.state(theta, psi0).amplitudes)) < 1e-14, name
 
@@ -279,7 +376,7 @@ class TestTangents:
         h = 1e-5
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-            _, tang = circ.tangents(theta, psi0)
+            _, tang, _ = circ.tangents(theta, psi0)
             for mu in range(circ.num_params):
                 up = theta.copy()
                 dn = theta.copy()
@@ -305,7 +402,7 @@ class TestTangents:
                 if p == pos:
                     state = -1j * kron_lift(g.generator.matrix, g.targets, 3, 3) @ state
             total += state
-        _, tang = circ.tangents(theta, psi0)
+        _, tang, _ = circ.tangents(theta, psi0)
         assert np.max(np.abs(total - tang[:, mu])) < 1e-12
 
     def test_slot_out_of_range(self):
@@ -321,7 +418,7 @@ class TestTangents:
         h = 1e-5
         for _ in range(10):
             theta = rng.uniform(-np.pi / 2, np.pi / 2, circ.num_params)
-            _, tang = circ.tangents(theta, psi0)
+            _, tang, _ = circ.tangents(theta, psi0)
             mu = int(rng.integers(circ.num_params))
             up, dn = theta.copy(), theta.copy()
             up[mu] += h
@@ -341,7 +438,7 @@ class TestPlaquetteTangentRank:
     @staticmethod
     def projected_rank(circ):
         theta = np.random.default_rng(31).uniform(-np.pi, np.pi, circ.num_params)
-        psi, tang = circ.tangents(theta, vacuum(4))
+        psi, tang, _ = circ.tangents(theta, vacuum(4))
         amp = psi.amplitudes
         proj = tang - np.outer(amp, amp.conj() @ tang)
         s = np.linalg.svd(np.vstack([proj.real, proj.imag]), compute_uv=False)

@@ -1,6 +1,9 @@
 """Configuration handling, output formats, determinism, exit codes."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 from quditgauge.cli import main
 from quditgauge.config import ConfigError, config_hash, load_config, parse_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path: Path, name: str, data: dict) -> Path:
@@ -395,6 +400,43 @@ class TestErrorPaths:
         cfg_path = write_config(tmp_path, "c.json", data)
         assert main(["quench", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "dimension <= 81" in capsys.readouterr().err
+
+
+class TestOverflowingValues:
+    """Values whose arithmetic overflows are config errors, named, with no traceback."""
+
+    PLAQUETTE_QUENCH = {
+        "model": {"dimension": 2, "num_links": 4},
+        "ansatz": {"family": "plaquette", "layers": 1},
+        "evolution": {"mode": "vrte", "dt": 0.02, "steps": 2},
+    }
+
+    @pytest.mark.parametrize(
+        "command,base,section,key,value",
+        [
+            ("ground", SMALL_GROUND, "model", "g", 1e200),  # g^2/2 in chain_hamiltonian
+            ("quench", PLAQUETTE_QUENCH, "model", "g", 1e300),  # g^2/2 in plaquette_hamiltonian
+            ("ground", SMALL_GROUND, "ansatz", "init_range", 1e308),  # the uniform draw's width
+            ("ground", SMALL_GROUND, "estimator", "shots", 10**22),  # the shift route's binomial draws
+        ],
+        ids=["chain-g", "plaquette-g", "init-range", "shots"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, command, base, section, key, value):
+        data = json.loads(json.dumps(base))
+        data.setdefault(section, {})[key] = value
+        if key == "shots":
+            data["estimator"]["mode"] = "shift"
+        cfg_path = write_config(tmp_path, "c.json", data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditgauge.cli", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"config error: {section}.{key}" in proc.stderr
 
 
 class TestNumericalFailure:

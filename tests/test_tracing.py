@@ -9,15 +9,21 @@ the classmethod ``RunContext.from_config``; ``model.materialize`` and
 ``measure.element_from_hadamard`` and ``hadamard_test``.  Installing it here
 makes a rename or removal fail the tests rather than a traced benchmark run.
 
-The tangent sweep's kernel rows are pinned too.  With one bundle row per
-parameter slot, each stage pushes the rows already in use, one row per
-gate for its inserted generator, and the state: 351 + 81 + 18 = 450 rows on
-the L=7 N=3 chain's 18 stages and 2,420 + 185 + 25 = 2,630 on the N=5
-plaquette's 25, where stages that fused only runs of equal targets pushed
-837 and 4,650.  So is the Hadamard route: one call of the estimator that
-``varsim.make_estimator`` builds for it on the benchmark's L=3 N=1 chain
-runs its stage sweep through the traced kernels and calls no
-``hadamard_test``, and the traced wrappers must accept it.  One
+The tangent sweep's kernel rows are pinned too, as the traced kernels
+count them: a stage's stacked inserts are one call on one row, the state.
+In the output frame (``Circuit.tangents``) each stage pushes the state,
+then the rows already in use, and applies its inserts in one more call:
+18 + 351 + 18 = 387 rows on the L=7 N=3 chain's 18 stages and 25 + 2,420 +
+25 = 2,470 on the N=5 plaquette's 25 (the one-call-per-insert sweep counted
+450 and 2,630).  ``varsim.exact_eom`` runs the same sweep through the traced
+``Circuit.tangents``, in the middle frame: stages 0-9 of the chain run
+forward (10 + 124 pushed + 10 insert calls), the state runs on through the
+other 8, and those 8 run backward (8 insert calls, then H psi and their
+live rows pulled back: 8 + 90), 258 rows in all; the plaquette's middle
+frame is stage 12, 1,204 rows.  The Hadamard route is pinned too: one
+call of the estimator that ``varsim.make_estimator`` builds for it on the
+benchmark's L=3 N=1 chain runs its stage sweep through the traced kernels
+and calls no ``hadamard_test``, and the traced wrappers must accept it.  One
 shift-route call of the same factory there simulates each state it reads
 once through the traced ``Circuit.state``: the base state and each distinct
 (slot, shift) state, at most 401 where a simulation per sample took 1,097.
@@ -45,14 +51,25 @@ install(tracer, True)
 
 TANGENT_ROWS = """
 import json
-from quditgauge.ansatz import chain_circuit, plaquette_circuit
-from quditgauge.core import basis_state
-rows = []
-for circ in (chain_circuit(7, 3, "imag"), plaquette_circuit(5, "real", True)):
-    before = tracer.counts.get("core.kernel.rows", 0)
-    circ.tangents([0.1] * circ.num_params, basis_state(circ.num_qudits, 3, [1] * circ.num_qudits))
-    rows.append(tracer.counts["core.kernel.rows"] - before)
-print(json.dumps({"tangents": tracer.calls.get("ansatz.tangents", 0), "rows": rows}))
+from quditgauge.config import parse_config
+from quditgauge.varsim import RunContext, exact_eom
+rows, calls = [], []
+for model in (
+    {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 3}},
+    {
+        "model": {"dimension": 2, "num_links": 4},
+        "ansatz": {"family": "plaquette", "layers": 5, "include_plaquette_gate": True},
+        "evolution": {"mode": "vrte"},
+    },
+):
+    ctx = RunContext.from_config(parse_config(model))
+    circ, theta = ctx.circuit, [0.1] * ctx.circuit.num_params
+    for sweep in (lambda: circ.tangents(theta, ctx.psi0), lambda: exact_eom(circ, theta, ctx.spectrum, ctx.psi0, "real")):
+        before = tracer.counts.get("core.kernel.rows", 0), tracer.calls.get("ansatz.tangents", 0)
+        sweep()
+        rows.append(tracer.counts["core.kernel.rows"] - before[0])
+        calls.append(tracer.calls["ansatz.tangents"] - before[1])
+print(json.dumps({"calls": calls, "rows": rows, "middle": circ.tangent_plan.middle}))
 """
 
 HADAMARD_EOM = """
@@ -113,11 +130,12 @@ def test_tangent_sweep_rows_go_through_traced_kernels():
     proc = run_traced(TANGENT_ROWS)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["tangents"] == 2
-    chain_rows, plaquette_rows = result["rows"]
-    # L=7 N=3 chain (81 gates, 33 slots), then the N=5 plaquette with the gate (185 gates and slots)
-    assert 0 < chain_rows <= 460
-    assert 0 < plaquette_rows <= 2660
+    # each sweep, exact_eom's too, is one traced Circuit.tangents call
+    assert result["calls"] == [1, 1, 1, 1]
+    assert result["middle"] == 12
+    # L=7 N=3 chain (81 gates, 33 slots), then the N=5 plaquette with the gate
+    # (185 gates and slots): output frame, then exact_eom's middle frame
+    assert result["rows"] == [387, 258, 2470, 1204]
 
 
 def test_hadamard_eom_sweeps_through_traced_kernels():

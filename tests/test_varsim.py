@@ -107,6 +107,41 @@ FAMILIES = [
 ]
 
 
+class TestMiddleFrame:
+    """exact_eom reads M and v in the tangent plan's middle frame; they equal the end-frame formulas."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"model": {"dimension": 1, "num_links": 5}, "ansatz": {"family": "chain", "layers": 4}},
+            {
+                "model": {"dimension": 2, "num_links": 4},
+                "ansatz": {"family": "plaquette", "layers": 5, "include_plaquette_gate": True},
+            },
+        ],
+        ids=["chain-L5-N4", "plaquette-N5"],
+    )
+    def test_matches_end_frame_tangents(self, model):
+        cfg = parse_config(dict(model, evolution={"mode": "vrte"}))
+        ctx = RunContext.from_config(cfg)
+        circ, psi0 = ctx.circuit, ctx.psi0
+        assert 0 < circ.tangent_plan.middle < len(circ.stages)
+        theta = np.random.default_rng(53).uniform(-np.pi, np.pi, circ.num_params)
+        psi, tang, _ = circ.tangents(theta, psi0)
+        amp = psi.amplitudes
+        hpsi = ctx.spectrum @ amp
+        energy = np.vdot(amp, hpsi).real
+        ip, hp = tang.conj().T @ amp, tang.conj().T @ hpsi
+        gram = (tang.conj().T @ tang).real - np.outer(ip, ip.conj()).real
+        want_m = (gram + gram.T) / 2.0
+        for kind, want_v in (("imag", 2.0 * hp.real), ("real", 2.0 * hp.imag + 2.0 * energy * ip.conj().imag)):
+            eom = exact_eom(circ, theta, ctx.spectrum, psi0, kind)
+            assert np.max(np.abs(eom.m - want_m)) < 1e-12
+            assert np.max(np.abs(eom.v - want_v)) < 1e-12
+            assert np.max(np.abs(eom.psi.amplitudes - amp)) < 1e-14
+            assert eom.energy == pytest.approx(energy, abs=1e-12)
+
+
 class TestGradients:
     @pytest.mark.parametrize("name,make,n", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_energy_gradient_matches_fd(self, name, make, n):
@@ -161,7 +196,7 @@ class TestRealTimeVector:
         ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
         theta = np.random.default_rng(5).uniform(-np.pi, np.pi, circ.num_params)
         v = exact_eom(circ, theta, ham, psi0, "real").v
-        psi, tang = circ.tangents(theta, psi0)
+        psi, tang, _ = circ.tangents(theta, psi0)
         hpsi = ham @ psi.amplitudes
         energy = np.vdot(psi.amplitudes, hpsi).real
         for mu in range(circ.num_params):
