@@ -364,7 +364,7 @@ class Circuit:
     def sweep(
         self,
         theta: Sequence[float],
-        psi0: QuditRegister,
+        psi0: QuditRegister | np.ndarray,
         plan: RowPlan | None = None,
         frame: int | None = None,
         ham=None,
@@ -377,7 +377,9 @@ class Circuit:
         stages from ``frame`` on (by default none: the output frame).  ref
         stacks the state in that frame and, given ``ham`` (anything with
         ``@``), H psi pulled back with the rows; inner products do not
-        depend on the frame.
+        depend on the frame.  ``psi0`` is a register or a (k, D) block of
+        inputs, carried together by every kernel call: psi, rows and ref then
+        gain a k axis.
 
         The stages before the frame run forward: each pushes the state, and
         the rows in use in a second kernel call, through its unitary, then
@@ -394,35 +396,40 @@ class Circuit:
         m = last if frame is None else frame
         if not 0 <= m <= last:
             raise ValueError(f"frame {m} out of range for {last} stages")
+        block = psi0.amplitudes[None] if isinstance(psi0, QuditRegister) else np.asarray(psi0)
+        k, dim = block.shape
         us, bs = self._stage_matrices(theta, plan)
         # every row in forward numbering, after the state; rows first
         # touched from the frame on stay zero until the backward rows meet them
-        fwd = np.zeros((1 + plan.order.size, psi0.dim), dtype=complex)
-        fwd[0] = psi0.amplitudes
+        fwd = np.zeros((1 + plan.order.size, k, dim), dtype=complex)
+        fwd[0] = block
         for s in range(m):
             kernel, live = stages[s].kernel, 1 + plan.fwd_live[s]
-            fwd[:1] = kernel(fwd[:1], us[s])  # alone, so every sweep gives the same state bit for bit
+            fwd[0] = kernel(fwd[0], us[s])  # alone, so every sweep gives the same state bit for bit
             if live > 1:
-                fwd[1:live] = kernel(fwd[1:live], us[s])
+                fwd[1:live] = kernel(fwd[1:live].reshape(-1, dim), us[s]).reshape(-1, k, dim)
             if bs[s] is not None:
-                fwd[plan.fwd[s]] += kernel(fwd[:1], bs[s])
-        outs = [fwd[:1]]
+                fwd[plan.fwd[s]] += kernel(fwd[0], bs[s]).reshape(-1, k, dim)
+        outs = [fwd[0]]
         for s in range(m, last):
             outs.append(stages[s].kernel(outs[-1], us[s]))
-        psi = outs[-1][0].copy()
-        back = np.zeros((1 + plan.bwd_live[m], psi0.dim), dtype=complex)
+        psi = outs[-1].copy()
+        back = np.zeros((1 + plan.bwd_live[m], k, dim), dtype=complex)
         first = 1
         if ham is not None:
-            back[0], first = ham @ psi, 0
+            back[0], first = (ham @ psi.T).T, 0
         for s in range(last - 1, m - 1, -1):
             kernel, live, out = stages[s].kernel, 1 + plan.bwd_live[s], outs.pop()
             if bs[s] is not None:
-                back[plan.bwd[s]] += kernel(out, bs[s])
+                back[plan.bwd[s]] += kernel(out, bs[s]).reshape(-1, k, dim)
             if live > first:
-                back[first:live] = kernel(back[first:live], us[s].conj().T)
+                back[first:live] = kernel(back[first:live].reshape(-1, dim), us[s].conj().T).reshape(-1, k, dim)
         fwd[1 + plan.meet[: len(back) - 1]] += back[1:]
         ref = fwd[:1].copy() if ham is None else np.stack([fwd[0], back[0]])
-        return QuditRegister(psi0.num_qudits, self.local_dim, psi), fwd[1 + plan.order], ref
+        rows = fwd[1 + plan.order]
+        if isinstance(psi0, QuditRegister):
+            return QuditRegister(psi0.num_qudits, self.local_dim, psi[0]), rows[:, 0], ref[:, 0]
+        return psi, rows, ref
 
     @cached_property
     def _no_rows(self) -> RowPlan:
@@ -431,12 +438,13 @@ class Circuit:
     def state(self, theta: Sequence[float], psi0: QuditRegister) -> QuditRegister:
         return self.sweep(theta, psi0)[0]
 
-    def tangents(self, theta: Sequence[float], psi0: QuditRegister, frame: int | None = None, ham=None):
+    def tangents(self, theta: Sequence[float], psi0: QuditRegister | np.ndarray, frame: int | None = None, ham=None):
         """State and all tangent vectors in one sweep.
 
         Returns (psi, T, ref) where T[:, mu] = d|psi>/d theta_mu, the sum
         over the gates sharing slot mu of the product rule, in the frame
-        before stage ``frame``; ``frame`` and ``ham`` act as in ``sweep``.
+        before stage ``frame``; ``psi0``, ``frame`` and ``ham`` act as in
+        ``sweep``, and for a block T[:, j, mu] is input state j's tangent.
         """
         psi, rows, ref = self.sweep(theta, psi0, self.tangent_plan, frame, ham)
         return psi, rows.T, ref

@@ -1,7 +1,7 @@
 """Batch front door: run configurations in, deterministic CSV/JSON out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 dimension cap exceeded.
+4 dimension cap exceeded or an allocation too large for the host.
 """
 from __future__ import annotations
 
@@ -297,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except CapError as exc:
         print(f"dimension cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"allocation too large: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

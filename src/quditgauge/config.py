@@ -11,7 +11,7 @@ from typing import get_type_hints
 
 # Largest shot count a binomial draw takes: numpy's 64-bit signed integer.
 _MAX_SHOTS = 2**63 - 1
-# Largest register the randomized estimator runs on: its stacked operators take (P + 1) D^2 16 bytes.
+# Largest register the randomized estimator runs on: its variance grows with D (D + 1), unmeasured at D = 243.
 RANDOMIZED_MAX_DIM = 81
 
 

@@ -16,8 +16,8 @@ Three routes are provided besides exact linear algebra:
   of the sweep's rows, and the test reads P(+) = (1 + Re e^{i alpha} <W>)/2.
 * global random unitaries: every connected anticommutator from the third
   Haar moment of one set of random-unitary snapshots, over the Heisenberg
-  generators (read off one tangent sweep per basis state) and H~, all made
-  traceless.
+  generators and H~, all made traceless; each tangent sweep reads them off
+  a whole block of snapshots, and no D x D operator is formed.
 
 Each route returns (psi, M, v) at one theta; ``varsim.make_estimator``
 picks it.  With shots set, one generator per call replaces every elementary
@@ -39,7 +39,7 @@ from .oracle import Spectrum
 
 MAX_PLAN_TRIES = 64
 RANK_COND_LIMIT = 1e8
-_SNAPSHOT_BLOCK = 256  # randomized snapshots per product: 27 MB of outer products at D = 81
+_SNAPSHOT_BYTES = 16 * 2**20  # one sweep block of randomized snapshots, (P + 1) D 16 B each; measured in CHANGES.md
 
 
 @dataclass(frozen=True)
@@ -408,65 +408,37 @@ def hadamard_eom(
     return words.psi, m, v
 
 
-def _snapshot_anticommutators(ops: np.ndarray, psi0: np.ndarray, samples: int, rng) -> np.ndarray:
-    """Connected anticommutators <{A_k, A_l}>_0 - 2<A_k>_0<A_l>_0 of stacked ``ops`` from one snapshot set.
-
-    A Haar-random U enters only through phi = U psi0, a uniformly random unit
-    vector, so each of the ``samples`` snapshots is a normalized complex
-    Gaussian vector.  With every operator made traceless (which leaves the
-    connected anticommutator alone), the third Haar moment gives
-
-        <{A, B}>_0 = D (D + 1) E[<A>_phi <B>_phi ((D + 2) |<psi0|phi>|^2 - 1)],
-
-    so one weighted product of the snapshot expectations gives the whole
-    matrix.  Every element reads the same snapshots, as on a device.
-    """
-    dim = ops.shape[-1]
+def _snapshot_draw(dim: int, samples: int, rng) -> np.ndarray:
+    """``samples`` snapshots phi = U psi0 of Haar-random U: normalized complex Gaussian vectors."""
     if dim > RANDOMIZED_MAX_DIM:
         raise ValueError(f"randomized estimation is limited to dimension <= {RANDOMIZED_MAX_DIM}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    centered = ops - (np.trace(ops, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
-    flat = centered.reshape(len(ops), dim * dim)
     phi = rng.standard_normal((samples, dim)) + 1.0j * rng.standard_normal((samples, dim))
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    # <phi|A_k|phi> for every snapshot and operator: one product per block
-    # of snapshots, so the D^2 outer products never take more than a block
-    values = np.concatenate(
-        [
-            ((blk.conj()[:, :, None] * blk[:, None, :]).reshape(len(blk), -1) @ flat.T).real
-            for blk in np.array_split(phi, -(-samples // _SNAPSHOT_BLOCK))
-        ]
-    )
+    return phi / np.linalg.norm(phi, axis=1, keepdims=True)
+
+
+def _connected_anticommutators(values, mean0, traces, phi: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """Connected anticommutators <{A_k, A_l}>_0 - 2<A_k>_0<A_l>_0 from one snapshot set.
+
+    ``values[s, k]`` is <phi_s|A_k|phi_s>, ``mean0[k]`` <psi0|A_k|psi0> and
+    ``traces[k]`` tr A_k.  Made traceless (the connected anticommutator does
+    not change), the operators obey the third Haar moment <{A, B}>_0 =
+    D (D + 1) E[<A>_phi <B>_phi ((D + 2) |<psi0|phi>|^2 - 1)].
+    """
+    samples, dim = phi.shape
+    values, mean0 = values - traces / dim, mean0 - traces / dim
     weights = (dim + 2.0) * np.abs(phi @ psi0.conj()) ** 2 - 1.0
-    mean0 = (flat @ (np.conj(psi0)[:, None] * psi0[None, :]).ravel()).real
     return dim * (dim + 1.0) / samples * (values.T * weights) @ values - 2.0 * np.outer(mean0, mean0)
 
 
-def randomized_connected_anticommutator(
-    a: np.ndarray,
-    b: np.ndarray,
-    psi0: np.ndarray,
-    samples: int,
-    rng,
-) -> float:
+def randomized_connected_anticommutator(a: np.ndarray, b: np.ndarray, psi0: np.ndarray, samples: int, rng) -> float:
     """Connected anticommutator <{A, B}>_0 - 2<A>_0<B>_0 from ``samples`` random-unitary snapshots."""
-    return float(_snapshot_anticommutators(np.stack([a, b]), psi0, samples, rng)[0, 1])
-
-
-def heisenberg_generators(circuit: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit unitary U and every Heisenberg slot generator, from one tangent sweep per basis state.
-
-    G~_mu sums U_{p:1}^dag G_p U_{p:1} over the gates p of slot mu.  The
-    tangents of U e_j, pulled back to the circuit's input (frame 0), are
-    T_in = -i G~ e_j, so column j of G~_mu is i T_in[:, mu].  Returns (U, G~)
-    with G~[mu] the generator of slot mu.
-    """
-    n, d = circuit.num_qudits, circuit.local_dim
-    sweeps = [circuit.tangents(theta, QuditRegister(n, d, e_j), 0) for e_j in np.eye(d**n, dtype=complex)]
-    u = np.stack([psi.amplitudes for psi, _, _ in sweeps], axis=1)
-    cols = np.stack([1.0j * t for _, t, _ in sweeps])  # [j, row, mu]
-    return u, np.ascontiguousarray(cols.transpose(2, 1, 0))
+    phi = _snapshot_draw(psi0.size, samples, rng)
+    values = np.column_stack([np.einsum("si,ij,sj->s", phi.conj(), op, phi).real for op in (a, b)])
+    mean0 = np.array([np.vdot(psi0, op @ psi0).real for op in (a, b)])
+    traces = np.trace([a, b], axis1=1, axis2=2).real
+    return float(_connected_anticommutators(values, mean0, traces, phi, psi0)[0, 1])
 
 
 def randomized_eom(
@@ -474,14 +446,26 @@ def randomized_eom(
 ) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
     """State, metric and real-time vector from one set of ``samples`` random-unitary snapshots.
 
-    The P Heisenberg generators and H~ = U^dag H U are stacked, so
-    M = C[:P, :P] / 2 and v = C[:P, P] of their connected anticommutators C.
+    M = C[:P, :P] / 2 and v = C[:P, P] of the connected anticommutators C of
+    the Heisenberg slot generators G~_mu and H~ = U^dag H U.  psi0 and blocks
+    of snapshots phi enter the tangent sweep, whose rows are -i G~ phi carried
+    with the state ref_0, so <phi|G~_mu|phi> = Re(i <ref_0|row_mu>) and
+    <phi|H~|phi> = Re <ref_0|ref_1>.  tr G~_mu sums tr G_p d^(n - |targets|)
+    over slot mu's gates, and tr H~ the spectrum.
     """
-    u, gens = heisenberg_generators(circuit, theta)
-    h_tilde = u.conj().T @ (spectrum @ u)
-    amps = psi0.amplitudes
-    rng = np.random.default_rng(seed)
-    c = _snapshot_anticommutators(np.concatenate([gens, h_tilde[None]]), amps, samples, rng)
-    npar = circuit.num_params
-    psi = QuditRegister(psi0.num_qudits, psi0.local_dim, u @ amps)
-    return psi, 0.5 * c[:npar, :npar], c[:npar, npar]
+    n, d, npar = circuit.num_qudits, circuit.local_dim, circuit.num_params
+    phi = _snapshot_draw(psi0.dim, samples, np.random.default_rng(seed))
+    gate_traces = [np.trace(g.generator.matrix).real * d ** (n - len(g.targets)) for g in circuit.gates]
+    traces = np.append(np.bincount([g.slot for g in circuit.gates], gate_traces, npar), np.sum(spectrum.eigenvalues))
+
+    def expectations(states):  # the output states, and every <A_k> of each input state
+        psi, rows, ref = circuit.sweep(theta, states, circuit.tangent_plan, circuit.tangent_plan.middle, spectrum)
+        bra = ref[0].conj()
+        gens = -np.einsum("kd,rkd->kr", bra, rows).imag  # Re(i <ref_0|row_mu>)
+        return psi, np.column_stack([gens, np.einsum("kd,kd->k", bra, ref[1]).real])
+
+    psi, mean0 = expectations(psi0.amplitudes[None])
+    block = max(1, _SNAPSHOT_BYTES // ((npar + 1) * psi0.dim * 16))
+    values = np.concatenate([expectations(blk)[1] for blk in np.array_split(phi, -(-samples // block))])
+    c = _connected_anticommutators(values, mean0[0], traces, phi, psi0.amplitudes)
+    return QuditRegister(n, d, psi[0]), 0.5 * c[:npar, :npar], c[:npar, npar]

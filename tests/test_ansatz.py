@@ -326,30 +326,38 @@ class TestSweepFrames:
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
         theta[[1, 4]] = 0.0
         psi0 = QuditRegister(n, d, random_state(dim, rng))
+        block = np.stack([random_state(dim, rng) for _ in range(3)])  # k = 3 input states, swept together
         ham = random_hermitian(dim, rng)
         gate = [kron_lift(g.matrix(theta[g.slot]), g.targets, n, d) for g in circ.gates]
-        # rows at the output, in gate order: the circuit with O inserted after gate p
-        want = np.zeros((8, dim), dtype=complex)
+        # rows at the output as maps of the input, in gate order: the circuit with O inserted after gate p
+        branches = np.zeros((8, dim, dim), dtype=complex)
         for p, inserted in enumerate(ops):
             for key, op in inserted:
                 branch = kron_lift(op, circ.gates[p].targets, n, d) @ np.linalg.multi_dot([np.eye(dim)] + gate[p::-1])
-                want[key] += np.linalg.multi_dot([np.eye(dim)] + gate[:p:-1] + [branch, psi0.amplitudes])
+                branches[key] += np.linalg.multi_dot([np.eye(dim)] + gate[:p:-1] + [branch])
         total = np.linalg.multi_dot([np.eye(dim)] + gate[::-1])
-        out = total @ psi0.amplitudes
         before = np.eye(dim, dtype=complex)  # the stages before frame m, in stage order
         for m in range(len(circ.stages) + 1):
             pull = before @ total.conj().T
-            psi, rows, ref = circ.sweep(theta, psi0, plan, m, ham)
-            assert np.max(np.abs(psi.amplitudes - out)) < 1e-13, m
-            assert np.max(np.abs(rows - want @ pull.T)) < 1e-12, m
-            assert np.max(np.abs(ref - np.stack([out, ham @ out]) @ pull.T)) < 1e-12, m
+            for inputs, states in ((psi0, psi0.amplitudes[None]), (block, block)):
+                out = states @ total.T
+                want = np.einsum("rij,kj->rki", branches, states)
+                for h, want_ref in ((ham, np.stack([out, out @ ham.T])), (None, out[None])):
+                    psi, rows, ref = circ.sweep(theta, inputs, plan, m, h)
+                    if inputs is psi0:  # a register is the block of one state
+                        psi, rows, ref = psi.amplitudes[None], rows[:, None], ref[:, None]
+                    assert np.max(np.abs(psi - out)) < 1e-13, m
+                    assert np.max(np.abs(rows - want @ pull.T)) < 1e-12, m
+                    assert np.max(np.abs(ref - want_ref @ pull.T)) < 1e-12, m
             if m < len(circ.stages):
                 for p in circ.stages[m].positions:
                     before = gate[p] @ before
         assert 0 < plan.middle < len(circ.stages)
         psi, rows, ref = circ.sweep(theta, psi0, plan)
-        assert np.max(np.abs(rows - want)) < 1e-12
+        assert np.max(np.abs(rows - branches @ psi0.amplitudes)) < 1e-12
         assert np.array_equal(ref, psi.amplitudes[None])
+        psi, rows, ref = circ.sweep(theta, block, plan)
+        assert np.array_equal(ref, psi[None])
         for frame in (-1, len(circ.stages) + 1):
             with pytest.raises(ValueError):
                 circ.sweep(theta, psi0, plan, frame)

@@ -439,6 +439,51 @@ class TestOverflowingValues:
         assert f"config error: {section}.{key}" in proc.stderr
 
 
+class TestAllocationTooLarge:
+    """A draw too large for any host exits 4 with one line, not a MemoryError traceback."""
+
+    @pytest.mark.parametrize(
+        "command,mode,estimator",
+        [
+            ("quench", "vrte", {"mode": "randomized", "samples": 10**15}),  # the snapshot draw
+            ("ground", "vite", {"mode": "shift", "shots": 10**15}),  # the spectrum draws of an energy
+        ],
+        ids=["randomized-samples", "shift-shots"],
+    )
+    def test_exits_4_without_traceback(self, tmp_path, command, mode, estimator):
+        data = {
+            "model": {"dimension": 1, "num_links": 3},
+            "ansatz": {"family": "chain", "layers": 1},
+            "evolution": {"mode": mode, "dt": 0.02, "steps": 2},
+            "estimator": estimator,
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditgauge.cli", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("allocation too large: ") and proc.stderr.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_quditgauge_runs_info(self, tmp_path):
+        cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditgauge", "info", "--config", str(cfg_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "parameters: " in proc.stdout
+
+
 class TestNumericalFailure:
     # dt = 1e308 overshoots at once: the ground search runs out of halvings
     # (it used to take the uphill step and write "tau": Infinity with exit 0),

@@ -1,4 +1,6 @@
 """Shift-rule, Hadamard-test, and randomized measurement emulation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from quditgauge.measure import (
     fourier_derivative,
     fourier_value,
     hadamard_test,
-    heisenberg_generators,
     randomized_connected_anticommutator,
     shift_eom,
 )
@@ -561,19 +562,27 @@ class TestRandomized:
         ids=["hand built", "plaquette gate"],
     )
     def test_heisenberg_generators_match_dense_products(self, make):
-        # U = M_K ... M_1 and G~_mu = sum over slot mu's gates of U_{p:1}^dag G_p U_{p:1}
+        # the frame-0 tangents of U e_j are -i G~ e_j, so the D basis states,
+        # swept as one block, give U and every G~_mu column by column
         circ = make()
-        n, d = circ.num_qudits, circ.local_dim
+        dim = circ.local_dim**circ.num_qudits
         theta = np.random.default_rng(57).uniform(-np.pi, np.pi, circ.num_params)
-        prefix = np.eye(d**n, dtype=complex)
-        want = np.zeros((circ.num_params, d**n, d**n), dtype=complex)
-        for g in circ.gates:
-            gen = g.generator.matrix
-            prefix = kron_lift(series_expm(-1.0j * theta[g.slot] * gen), g.targets, n, d) @ prefix
-            want[g.slot] += prefix.conj().T @ kron_lift(gen, g.targets, n, d) @ prefix
-        u, gens = heisenberg_generators(circ, theta)
-        assert np.max(np.abs(u - prefix)) < 1e-12
-        assert np.max(np.abs(gens - want)) < 1e-12
+        u, gens = dense_heisenberg(circ, theta)
+        psi, tang, _ = circ.tangents(theta, np.eye(dim, dtype=complex), 0)
+        assert np.max(np.abs(psi.T - u)) < 1e-12
+        assert np.max(np.abs((1.0j * tang).transpose(2, 0, 1) - gens)) < 1e-12
+
+
+def dense_heisenberg(circ, theta):
+    """U = M_K ... M_1 and G~_mu = sum over slot mu's gates of U_{p:1}^dag G_p U_{p:1}, from dense products."""
+    n, d = circ.num_qudits, circ.local_dim
+    prefix = np.eye(d**n, dtype=complex)
+    gens = np.zeros((circ.num_params, d**n, d**n), dtype=complex)
+    for g in circ.gates:
+        gen = g.generator.matrix
+        prefix = kron_lift(series_expm(-1.0j * theta[g.slot] * gen), g.targets, n, d) @ prefix
+        gens[g.slot] += prefix.conj().T @ kron_lift(gen, g.targets, n, d) @ prefix
+    return prefix, gens
 
 
 def real_chain_context():
@@ -611,7 +620,7 @@ class TestRandomizedEom:
         _, ctx = real_chain_context()
         theta = np.random.default_rng(48).uniform(-np.pi, np.pi, ctx.circuit.num_params)
         psi, m, v = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 50, 9)
-        u, gens = heisenberg_generators(ctx.circuit, theta)
+        u, gens = dense_heisenberg(ctx.circuit, theta)
         h_tilde = u.conj().T @ (ctx.spectrum @ u)
         amps = ctx.psi0.amplitudes
 
@@ -620,6 +629,29 @@ class TestRandomizedEom:
 
         assert pair(gens[2], gens[5]) == pytest.approx(2 * m[2, 5], rel=1e-10, abs=1e-12)
         assert pair(gens[3], h_tilde) == pytest.approx(v[3], rel=1e-10, abs=1e-12)
+
+    def test_no_dense_operator_allocated(self):
+        # on the N=1 plaquette (P = 36, D = 81) one P x D x D stack of
+        # operators would take 3.6 MB; the snapshot values come off the sweep
+        cfg = parse_config(
+            {
+                "model": {"dimension": 2, "num_links": 4},
+                "ansatz": {"family": "plaquette", "layers": 1},
+                "evolution": {"mode": "vrte"},
+                "estimator": {"mode": "randomized"},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        circ, npar, dim = ctx.circuit, ctx.circuit.num_params, ctx.psi0.dim
+        theta = np.random.default_rng(49).uniform(-np.pi, np.pi, npar)
+        measure.randomized_eom(circ, theta, ctx.psi0, ctx.spectrum, 16, 1)  # builds the cached plans
+        tracemalloc.start()
+        try:
+            measure.randomized_eom(circ, theta, ctx.psi0, ctx.spectrum, 16, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < npar * dim * dim * 16
 
     def test_slope_on_exact_is_one_with_power(self):
         # Per trial, the least-squares slope of the estimate (M's upper
