@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fixtures, model, varsim
+from . import __version__, fixtures, measure, model, varsim
 from .ansatz import random_initial_params
 from .config import ConfigError, RunConfig, config_hash, load_config, validate_config
 from .model import CapError
@@ -180,7 +180,9 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
         est = varsim.make_estimator(dataclasses.replace(cfg.estimator, mode=mode, shots=n), ctx)
         imag.append(est(theta, "imag"))
         real.append(np.full(npar, np.nan) if mode == "shift" else est(theta, "real").v)
-    pieces = model.hamiltonian_unitary_pieces(ctx.ham_spec)
+    # tests per element, pair and single words, as the Hadamard route draws them
+    route = measure.hadamard_plan(circuit, model.hamiltonian_unitary_pieces(ctx.ham_spec))
+    imag_tests, real_tests = route.tests["imag"].counts(), route.tests["real"].counts()
     header = [
         "kind",
         "mu",
@@ -192,23 +194,19 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
         "hadamard_shots",
         "hadamard_tests",
     ]
-    # each gate generator of a slot splits into u and u^dag
-    tests = np.array([2 * len(circuit.slot_positions(mu)) for mu in range(npar)])
     mus, nus = np.triu_indices(npar)
     slots = np.arange(npar)
 
-    def vector_rows(kind, *cols):
-        return np.column_stack([np.full(npar, kind), slots, np.full(npar, -1), *cols, tests * len(pieces)])
+    def vector_rows(kind, tests, *cols):
+        return np.column_stack([np.full(npar, kind), slots, np.full(npar, -1), *cols, tests[mus.size :]])
 
     rows = np.vstack(
         [
             np.column_stack(
-                [np.zeros_like(mus), mus, nus]
-                + [eom.m[mus, nus] for eom in imag]
-                + [tests[mus] * tests[nus]]
+                [np.zeros_like(mus), mus, nus] + [eom.m[mus, nus] for eom in imag] + [imag_tests[: mus.size]]
             ),
-            vector_rows(1, *(eom.v for eom in imag)),
-            vector_rows(2, *real),
+            vector_rows(1, imag_tests, *(eom.v for eom in imag)),
+            vector_rows(2, real_tests, *real),
         ]
     )
     _write_csv(out / "measure_check.csv", header, rows, cfg_hash, cfg.output.precision)

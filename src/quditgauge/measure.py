@@ -11,9 +11,12 @@ Three routes are provided besides exact linear algebra:
   expectations of Heisenberg-conjugated generators.  Each generator is
   split as c (u + u^dag) with u unitary, so an element sums tests on words
   of two unitary pieces (phase 0 for anticommutators, pi/2 for
-  commutators).  No ancilla is simulated: one stage sweep per theta inserts
-  u_p and u_p^dag after every gate p, each noiseless word <W> is an overlap
-  of the sweep's rows, and the test reads P(+) = (1 + Re e^{i alpha} <W>)/2.
+  commutators).  The route's test program is laid out once: each test of
+  an EOM, in draw order, is a word, a phase, a coefficient and the element
+  it adds into.  No ancilla is simulated: per theta one stage sweep inserts
+  u_p and u_p^dag after every gate p, one Gram of the sweep's rows and the
+  Hamiltonian pieces' rows gives every noiseless word <W>, and one gather
+  reads every test's P(+) = (1 + Re e^{i alpha} <W>)/2.
 * global random unitaries: every connected anticommutator from the third
   Haar moment of one set of random-unitary snapshots, over the Heisenberg
   generators and H~, all made traceless; each tangent sweep reads them off
@@ -31,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .ansatz import Circuit, RowPlan
 from .config import RANDOMIZED_MAX_DIM
 from .core import LocalOperator, QuditRegister, apply, inner
@@ -252,9 +256,9 @@ def shift_eom(
     return table.base, m, v
 
 
-def _plus_probability(words, alpha: float):
-    """P(+) = (1 + Re(e^{i alpha} <W>))/2 of the Hadamard test on each word W."""
-    return (1.0 + (np.exp(1.0j * alpha) * words).real) / 2.0
+def _plus_probability(words, phase):
+    """P(+) = (1 + Re(e^{i alpha} <W>))/2 of the Hadamard test on each word W, given phase = e^{i alpha}."""
+    return (1.0 + (phase * words).real) / 2.0
 
 
 def hadamard_test(
@@ -277,76 +281,165 @@ def hadamard_test(
         elif not op.is_unitary(1e-10):
             raise ValueError("controlled operations must be unitary")
         word = apply(word, op)
-    return float(_maybe_binomial(_plus_probability(inner(idle, word), alpha), shots, rng))
-
-
-def _test_values(words: np.ndarray, alpha: float, shots, rng) -> np.ndarray:
-    """Re<W> (alpha = 0) or Im<W> (alpha = pi/2) of each word, as its Hadamard test reads it."""
-    p = _maybe_binomial(_plus_probability(words, alpha), shots, rng)
-    return 2.0 * p - 1.0 if alpha == 0.0 else 1.0 - 2.0 * p
+    return float(_maybe_binomial(_plus_probability(inner(idle, word), np.exp(1.0j * alpha)), shots, rng))
 
 
 @dataclass(frozen=True)
-class _Words:
-    """Every noiseless Hadamard-test word at one theta, read off one stage sweep.
+class HadamardTests:
+    """The Hadamard tests of one EOM in draw order, each reading one entry of a word matrix.
 
-    Gate p's generator is coefs[p] (u_p + u_p^dag); ``rows[2p]`` is the
-    circuit run with u_p inserted after gate p and ``rows[2p + 1]`` with
-    u_p^dag.  A word <psi0| A~^dag B~ |psi0> of pieces conjugated up to
-    their gates is then <row(A) | row(B)>, and a Hamiltonian piece h_b at
-    the end of the circuit has the row ``ham_rows[b]`` = h_b psi.
+    Test t reads entry ``word[t]`` of the flattened word matrix at phase
+    ``phase[t]`` = e^{i alpha} and adds ``coef[t]`` (2 P(+) - 1) into term
+    ``bins[t] % 3`` (0 pairs, 1 left singles, 2 right singles) of element
+    ``bins[t] // 3``.  At alpha = pi/2 a test reads Im<W> as 1 - 2 P(+), so
+    its coefficient carries the sign.
     """
 
-    psi: QuditRegister
-    coefs: np.ndarray
-    rows: np.ndarray
-    ham_coefs: np.ndarray
-    ham_rows: np.ndarray
+    word: np.ndarray
+    phase: np.ndarray
+    coef: np.ndarray
+    bins: np.ndarray
+    elements: int
+
+    def counts(self) -> np.ndarray:
+        """The number of tests of each element."""
+        return np.bincount(self.bins // 3, minlength=self.elements)
+
+    def element(self, e: int) -> "HadamardTests":
+        keep = self.bins // 3 == e
+        return HadamardTests(self.word[keep], self.phase[keep], self.coef[keep], self.bins[keep] % 3, 1)
 
 
-def hadamard_plan(circuit: Circuit) -> tuple[np.ndarray, RowPlan]:
-    """Piece coefficient of every gate and the sweep that inserts u_p and u_p^dag."""
+def _tests(parts, elements: int) -> HadamardTests:
+    """Tests from (words, alpha, coefs, bins) parts, each listed in its draw order, merged element by element."""
+    word, phase, coef, bins = (
+        np.concatenate(col)
+        for col in zip(*((w, np.full(w.size, np.exp(1.0j * a)), c if a == 0.0 else -c, b) for w, a, c, b in parts))
+    )
+    order = np.argsort(bins, kind="stable")
+    return HadamardTests(word[order], phase[order], coef[order], bins[order], elements)
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block and place in the block of each entry of consecutive blocks of the given sizes."""
+    block = np.repeat(np.arange(counts.size), counts)
+    return block, np.arange(block.size) - (np.cumsum(counts) - counts)[block]
+
+
+def _programs(circuit: Circuit, coefs: np.ndarray, ham_coefs: np.ndarray, ham_col: np.ndarray) -> dict:
+    """The tests of an EOM of each kind, 'imag' (M, then VI) and 'real' (M, then VR).
+
+    The elements are the metric's upper triangle row by row, then the
+    vector.  Each draws its pair words row-major, then its left and its
+    right single words <psi|row>; slot mu's pieces are u_p, then u_p^dag,
+    of each of its gates p in turn.
+    """
+    npar, nrows, b = circuit.num_params, 2 * coefs.size, ham_col.size
+    width = nrows + 1 + b  # word-matrix columns: the rows, psi, the Hamiltonian rows
+    single, ham = nrows * width, nrows + 1 + ham_col  # psi's word-matrix row; h_b psi's columns
+    slots = np.repeat([g.slot for g in circuit.gates], 2)
+    piece = np.argsort(slots, kind="stable")  # rows, slot by slot
+    coef = coefs[piece // 2]
+    size = np.bincount(slots, minlength=npar)
+    start = np.cumsum(size) - size
+
+    mus, nus = np.triu_indices(npar)
+    e, k = _ragged(size[mus] * size[nus])
+    left, right = start[mus[e]] + k // size[nus[e]], start[nus[e]] + k % size[nus[e]]
+    e1, k1 = _ragged(size[mus])
+    e2, k2 = _ragged(size[nus])
+    lefts, rights = start[mus[e1]] + k1, start[nus[e2]] + k2
+    metric = [
+        ((piece[left] ^ 1) * width + piece[right], 0.0, coef[left] * coef[right], 3 * e),
+        (single + piece[lefts], 0.0, coef[lefts], 3 * e1 + 1),
+        (single + piece[rights], 0.0, coef[rights], 3 * e2 + 2),
+    ]
+
+    v = 3 * mus.size  # the vector's bins follow the metric's
+    e, k = _ragged(size * b)
+    left, h = start[e] + k // b, k % b  # empty without pieces
+    words, prods, bins = (piece[left] ^ 1) * width + ham[h], coef[left] * ham_coefs[h], v + 3 * e
+    e1, k1 = _ragged(size)
+    e2, h2 = _ragged(np.full(npar, b))
+    lefts = start[e1] + k1
+    real = [
+        (words, 0.0, prods, bins),
+        (single + piece[lefts], 0.0, coef[lefts], v + 3 * e1 + 1),
+        (single + ham[h2], 0.0, ham_coefs[h2], v + 3 * e2 + 2),
+    ]
+    elements = mus.size + npar
+    imag = [(words, np.pi / 2.0, prods, bins)]
+    return {"imag": _tests(metric + imag, elements), "real": _tests(metric + real, elements)}
+
+
+@dataclass(frozen=True)
+class HadamardRoute:
+    """The Hadamard route of one circuit and one Hamiltonian: its sweep and its tests.
+
+    Gate p's generator is c_p (u_p + u_p^dag); ``rows`` inserts u_p
+    (row 2p) and u_p^dag (row 2p + 1) after gate p, so a word
+    <psi0| A~^dag B~ |psi0> of pieces conjugated up to their gates is
+    <row(A)|row(B)>.  Hamiltonian piece b, c_b h_b, acts at the end of the
+    circuit: ``ham_kernels`` apply the pieces on one target set in one
+    stacked call each, and h_b psi is output row ``ham_col[b]`` of those
+    calls.  ``tests[kind]`` lays out one EOM of ``kind`` ('imag', 'real').
+    """
+
+    rows: RowPlan
+    ham_pieces: Sequence[tuple[float, LocalOperator]]
+    ham_kernels: tuple
+    ham_col: np.ndarray
+    tests: dict
+
+
+def hadamard_plan(circuit: Circuit, ham_pieces: Sequence[tuple[float, LocalOperator]] = ()) -> HadamardRoute:
+    """Split every gate generator, plan the sweep that inserts u_p and u_p^dag, and lay out every test."""
     coefs, ops = [], []
     for p, g in enumerate(circuit.gates):
         split = unitary_split(g.generator)
         u = split.unitary.matrix
         coefs.append(split.norm / 2.0)
         ops.append(((2 * p, u), (2 * p + 1, u.conj().T)))
-    return np.array(coefs), circuit.row_plan(ops)
+    targets: dict[tuple[int, ...], list[int]] = {}
+    for b, (_, op) in enumerate(ham_pieces):
+        targets.setdefault(op.targets, []).append(b)
+    kernels = tuple(
+        (core.batch_kernel(circuit.num_qudits, circuit.local_dim, t), np.stack([ham_pieces[b][1].matrix for b in bs]))
+        for t, bs in targets.items()
+    )
+    ham_col = np.empty(len(ham_pieces), dtype=np.intp)
+    ham_col[[b for bs in targets.values() for b in bs]] = np.arange(len(ham_pieces))
+    coefs, ham_coefs = np.array(coefs), np.array([coef for coef, _ in ham_pieces], dtype=float)
+    tests = _programs(circuit, coefs, ham_coefs, ham_col)
+    return HadamardRoute(circuit.row_plan(ops), ham_pieces, kernels, ham_col, tests)
 
 
-def _read_words(circuit, coefs, plan, theta, psi0, ham_pieces) -> _Words:
-    psi, rows, _ = circuit.sweep(theta, psi0, plan)
-    ham_coefs = np.array([coef for coef, _ in ham_pieces])
-    ham_rows = np.array([apply(psi, op).amplitudes for _, op in ham_pieces])
-    return _Words(psi, coefs, rows, ham_coefs, ham_rows)
+def _read_words(circuit: Circuit, route: HadamardRoute, theta, psi0: QuditRegister) -> tuple[QuditRegister, np.ndarray]:
+    """The state and the word matrix <L_x|R_y> of L = (rows, psi) and R = (rows, psi, h_b psi) at theta."""
+    psi, rows, _ = circuit.sweep(theta, psi0, route.rows)
+    r = rows.shape[0]
+    right = np.empty((r + 1 + route.ham_col.size, psi.dim), dtype=complex)
+    right[:r], right[r] = rows, psi.amplitudes
+    at = r + 1
+    for kernel, mats in route.ham_kernels:
+        right[at : at + len(mats)] = kernel(right[r : r + 1], mats)
+        at += len(mats)
+    return psi, right[: r + 1].conj() @ right.T
 
 
-def _slot_pieces(circuit: Circuit, coefs: np.ndarray, mu: int):
-    """Coefficient, row and dagger's row of each unitary piece of slot mu: u_p, then u_p^dag."""
-    pos = np.array(circuit.slot_positions(mu))
-    own = np.stack([2 * pos, 2 * pos + 1], axis=1).ravel()
-    return np.repeat(coefs[pos], 2), own, own ^ 1
+def _term_sums(tests: HadamardTests, words: np.ndarray, shots, rng) -> np.ndarray:
+    """Each element's pair, left-single and right-single sums; with shots, one binomial call draws every test."""
+    p = _maybe_binomial(_plus_probability(words.take(tests.word), tests.phase), shots, rng)
+    return np.bincount(tests.bins, tests.coef * (2.0 * p - 1.0), 3 * tests.elements).reshape(-1, 3)
 
 
-def _element(kind: str, circuit: Circuit, words: _Words, mu: int, nu, shots, rng) -> float:
-    """One element from its Hadamard tests, drawn in the order: pair words, then single words."""
-    c_left, own_left, dag_left = _slot_pieces(circuit, words.coefs, mu)
+def _element_values(kind: str, sums: np.ndarray) -> np.ndarray:
+    pair, left, right = sums.T
     if kind == "M":
-        c_right, own_right, _ = _slot_pieces(circuit, words.coefs, nu)
-        right = words.rows[own_right]
-    else:
-        c_right, right = words.ham_coefs, words.ham_rows
-    alpha = np.pi / 2.0 if kind == "VI" else 0.0
-    pair_sum = c_left @ _test_values(words.rows[dag_left].conj() @ right.T, alpha, shots, rng) @ c_right
+        return pair - left * right
     if kind == "VI":
-        return float(-2.0 * pair_sum)
-    bra = words.psi.amplitudes.conj()
-    single_left = c_left @ _test_values(words.rows[own_left] @ bra, 0.0, shots, rng)
-    single_right = c_right @ _test_values(right @ bra, 0.0, shots, rng)
-    if kind == "M":
-        return float(pair_sum - single_left * single_right)
-    return float(2.0 * pair_sum - 2.0 * single_left * single_right)
+        return -2.0 * pair
+    return 2.0 * pair - 2.0 * left * right
 
 
 def element_from_hadamard(
@@ -365,6 +458,8 @@ def element_from_hadamard(
     kind 'M':  (1/2) <{G~_mu, G~_nu}>_0 - <G~_mu>_0 <G~_nu>_0
     kind 'VI': i <[G~_mu, H~]>_0
     kind 'VR': <{G~_mu, H~}>_0 - 2 <G~_mu>_0 <H~>_0
+
+    It reads its own tests of the route's EOM; M (mu, nu) and (nu, mu) are one element.
     """
     if kind == "M":
         if nu is None:
@@ -374,14 +469,25 @@ def element_from_hadamard(
             raise ValueError("vector elements need the Hamiltonian as unitaries")
     else:
         raise ValueError(f"unknown element kind {kind!r}")
-    words = _read_words(circuit, *hadamard_plan(circuit), theta, psi0, ham_pieces or ())
+    npar = circuit.num_params
+    for slot in (mu,) if nu is None else (mu, nu):
+        if not 0 <= slot < npar:
+            raise ValueError(f"slot {slot} out of range for {npar} parameters")
+    if kind == "M":
+        mu, nu = sorted((mu, nu))
+        e = mu * npar - mu * (mu - 1) // 2 + nu - mu  # the upper triangle, row by row
+    else:
+        e = npar * (npar + 1) // 2 + mu
+    route = hadamard_plan(circuit, ham_pieces or ())
+    words = _read_words(circuit, route, theta, psi0)[1]
     rng = np.random.default_rng(seed) if shots is not None else None
-    return _element(kind, circuit, words, mu, nu, shots, rng)
+    tests = route.tests["real" if kind == "VR" else "imag"].element(e)
+    return float(_element_values(kind, _term_sums(tests, words, shots, rng))[0])
 
 
 def hadamard_eom(
     circuit: Circuit,
-    route: tuple[np.ndarray, RowPlan],
+    route: HadamardRoute,
     theta,
     psi0: QuditRegister,
     ham_pieces: Sequence[tuple[float, LocalOperator]],
@@ -391,21 +497,23 @@ def hadamard_eom(
 ) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
     """State, metric and the vector of ``kind`` ('imag': VI, 'real': VR) from one stage sweep.
 
-    ``route`` is ``hadamard_plan(circuit)``.  With shots, one generator draws
-    the metric's upper triangle row by row, then the vector.
+    ``route`` is ``hadamard_plan(circuit, ham_pieces)``; a route planned
+    for other pieces is planned again for these.  With shots, one generator
+    draws the metric's upper triangle row by row, then the vector.
     """
     labels = {"imag": "VI", "real": "VR"}
     if kind not in labels:
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
-    words = _read_words(circuit, *route, theta, psi0, ham_pieces)
+    if route.ham_pieces is not ham_pieces:
+        route = hadamard_plan(circuit, ham_pieces)
+    psi, words = _read_words(circuit, route, theta, psi0)
     rng = np.random.default_rng(seed) if shots is not None else None
+    sums = _term_sums(route.tests[kind], words, shots, rng)
     npar = circuit.num_params
-    m = np.zeros((npar, npar))
-    for mu in range(npar):
-        for nu in range(mu, npar):
-            m[mu, nu] = m[nu, mu] = _element("M", circuit, words, mu, nu, shots, rng)
-    v = np.array([_element(labels[kind], circuit, words, mu, None, shots, rng) for mu in range(npar)])
-    return words.psi, m, v
+    mus, nus = np.triu_indices(npar)
+    m = np.empty((npar, npar))
+    m[mus, nus] = m[nus, mus] = _element_values("M", sums[: mus.size])
+    return psi, m, _element_values(labels[kind], sums[mus.size :])
 
 
 def _snapshot_draw(dim: int, samples: int, rng) -> np.ndarray:

@@ -235,7 +235,7 @@ def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
             return measure.shift_eom(plans, theta, psi0, spectrum, shots, seed(shots is not None))
     elif est_cfg.mode == "hadamard":
         pieces = model_mod.hamiltonian_unitary_pieces(ctx.ham_spec)
-        plan = measure.hadamard_plan(circuit)
+        plan = measure.hadamard_plan(circuit, pieces)
 
         def route(theta, kind):
             return measure.hadamard_eom(circuit, plan, theta, psi0, pieces, kind, shots, seed(shots is not None))
@@ -267,7 +267,8 @@ def snapshot(
     """One trajectory row from the state and energy the step's EOM already holds.
 
     Fidelity is against ``reference``, or against the whole ground space
-    when ``reference`` is None.
+    when ``reference`` is None.  A non-finite value in the row is a
+    numerical failure of ``step``, named by its trajectory column.
     """
     amp = eom.psi.amplitudes
     if reference is None:
@@ -277,9 +278,14 @@ def snapshot(
     ent = entanglement_entropy(eom.psi, ctx.cut)
     probs = np.abs(amp) ** 2
     numbers = ctx.n_diags @ probs
-    return TrajectoryRecord(
-        step, time, theta.copy(), eom.energy, fid, ent, numbers, float(np.linalg.norm(eom.v)), cond
-    )
+    with np.errstate(over="ignore"):  # a norm past the float range is reported below
+        grad_norm = float(np.linalg.norm(eom.v))
+    columns = [("energy", eom.energy), ("fidelity", fid), ("entropy", ent)]
+    columns += [(f"n_{s}", x) for s, x in enumerate(numbers)] + [("grad_norm", grad_norm), ("m_cond", cond)]
+    for name, value in columns:
+        if not np.isfinite(value):
+            raise RuntimeError(f"step {step}: non-finite {name}")
+    return TrajectoryRecord(step, time, theta.copy(), eom.energy, fid, ent, numbers, grad_norm, cond)
 
 
 _MAX_HALVINGS = 40

@@ -58,3 +58,59 @@ def random_state(dim: int, rng) -> np.ndarray:
 def random_hermitian(dim: int, rng) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2.0
+
+
+def hadamard_eom_reference(circuit, route, theta, psi0, kind: str, shots=None, seed: int = 0):
+    """The Hadamard route's metric and vector, one element at a time: the reference for ``hadamard_eom``.
+
+    A loop over the metric's upper triangle row by row, then the vector;
+    each element draws its pair words row-major, then its left and then its
+    right single words, from one generator, and adds its tests up one by
+    one in that order.  It reads the word matrix of ``measure._read_words``,
+    so with the same seed it must give the route's metric and vector bit
+    for bit.
+    """
+    from quditgauge import measure
+    from quditgauge.model import unitary_split
+
+    psi, words = measure._read_words(circuit, route, theta, psi0)
+    nrows = 2 * len(circuit.gates)
+    coefs = np.array([unitary_split(g.generator).norm / 2.0 for g in circuit.gates])
+    ham = nrows + 1 + route.ham_col
+    ham_coefs = np.array([coef for coef, _ in route.ham_pieces], dtype=float)
+    rng = np.random.default_rng(seed) if shots is not None else None
+
+    def pieces(mu):  # u_p, then u_p^dag, for each gate p of slot mu
+        pos = np.array(circuit.slot_positions(mu))
+        return np.repeat(coefs[pos], 2), np.stack([2 * pos, 2 * pos + 1], axis=1).ravel()
+
+    def values(w, alpha):  # Re<W> (alpha = 0) or Im<W> (alpha = pi/2)
+        p = measure._maybe_binomial(measure._plus_probability(w, np.exp(1.0j * alpha)), shots, rng)
+        return 2.0 * p - 1.0 if alpha == 0.0 else 1.0 - 2.0 * p
+
+    def total(terms):
+        out = 0.0
+        for term in np.ravel(terms):
+            out += term
+        return out
+
+    def element(label, mu, nu=None):
+        c_left, own_left = pieces(mu)
+        c_right, right = pieces(nu) if label == "M" else (ham_coefs, ham)
+        alpha = np.pi / 2.0 if label == "VI" else 0.0
+        pair = total(np.multiply.outer(c_left, c_right) * values(words[np.ix_(own_left ^ 1, right)], alpha))
+        if label == "VI":
+            return -2.0 * pair
+        single_left = total(c_left * values(words[nrows, own_left], 0.0))
+        single_right = total(c_right * values(words[nrows, right], 0.0))
+        if label == "M":
+            return pair - single_left * single_right
+        return 2.0 * pair - 2.0 * single_left * single_right
+
+    npar = circuit.num_params
+    m = np.zeros((npar, npar))
+    for mu in range(npar):
+        for nu in range(mu, npar):
+            m[mu, nu] = m[nu, mu] = element("M", mu, nu)
+    label = {"imag": "VI", "real": "VR"}[kind]
+    return psi, m, np.array([element(label, mu) for mu in range(npar)])

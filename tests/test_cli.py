@@ -11,6 +11,9 @@ import pytest
 
 from quditgauge.cli import main
 from quditgauge.config import ConfigError, config_hash, load_config, parse_config
+from quditgauge.measure import hadamard_plan
+from quditgauge.model import hamiltonian_unitary_pieces
+from quditgauge.varsim import RunContext
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -207,6 +210,42 @@ class TestMeasureCheckCommand:
         summary = json.loads((out / "measure_summary.json").read_text())
         assert summary["max_abs_dev_shift"] < 1e-8
         assert summary["max_abs_dev_hadamard"] < 1e-8
+
+
+    def test_hadamard_test_counts_cover_every_word(self, tmp_path):
+        data = {"model": {"dimension": 1, "num_links": 3}, "ansatz": {"family": "chain", "layers": 1}}
+        cfg_path = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "o"
+        assert main(["measure-check", "--config", str(cfg_path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "measure_check.csv")
+        kinds, tests = rows[:, 0].astype(int), rows[:, header.index("hadamard_tests")]
+        ctx = RunContext.from_config(parse_config(data))
+        route = hadamard_plan(ctx.circuit, hamiltonian_unitary_pieces(ctx.ham_spec))
+        metric = ctx.circuit.num_params * (ctx.circuit.num_params + 1) // 2
+        imag, real = route.tests["imag"].counts(), route.tests["real"].counts()
+        totals = [int(imag[:metric].sum()), int(imag[metric:].sum()), int(real[metric:].sum())]
+        assert [int(tests[kinds == k].sum()) for k in range(3)] == totals == [474, 440, 622]
+
+    def test_hadamard_test_counts_of_one_gate(self, tmp_path, monkeypatch):
+        # one rotation (g = 1, pieces u and u^dag) and the L=3 chain's B = 20
+        # Hamiltonian pieces: 6 single-qudit terms split in 2 each, and one
+        # hopping triple in 8.  M(0, 0): 2 * 2 pair words + 2 + 2 singles;
+        # VI: 2 * 20 pair words; VR: those, 2 + 20 singles
+        from quditgauge import varsim
+        from quditgauge.ansatz import Circuit, Gate
+        from quditgauge.core import LocalOperator, embedded_pauli
+
+        gen = LocalOperator(3, (1,), embedded_pauli(3, 0, 1, "X").matrix / 2.0, hermitian=True)
+        circ = Circuit((Gate("rotation", (1,), 0, gen, (0, 1), 0.0),), 1, 3, 3, 1, "one-gate")
+        monkeypatch.setattr(varsim, "build_circuit", lambda cfg: circ)
+        data = {"model": {"dimension": 1, "num_links": 3}, "ansatz": {"family": "chain", "layers": 1}}
+        cfg_path = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "o"
+        assert main(["measure-check", "--config", str(cfg_path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "measure_check.csv")
+        assert rows[:, header.index("hadamard_tests")].tolist() == [8, 40, 62]
+        summary = json.loads((out / "measure_summary.json").read_text())
+        assert summary["max_abs_dev_hadamard"] < 1e-12
 
 
 class TestExactCommand:
@@ -500,6 +539,40 @@ class TestNumericalFailure:
         with np.errstate(all="ignore"):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
         assert re.search(r"numerical failure: step \d+: ", capsys.readouterr().err)
+        assert not (out / "final.json").exists() and not list(out.glob("*.csv"))
+
+
+class TestNonFiniteTrajectory:
+    """A non-finite value in a trajectory row stops the run with exit 3, naming the step and the column."""
+
+    # v stays finite near 1e160, but its norm overflows in the grad_norm column
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("ground", "mass", 1e160),
+            ("ground", "hopping_scale", 1e160),
+            ("quench", "mass", 1e160),
+            ("quench", "mass", 1e200),
+            ("quench", "hopping_scale", 1e160),
+        ],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, command, key, value):
+        data = {
+            "model": {"dimension": 1, "num_links": 3, key: value},
+            "ansatz": {"family": "chain", "layers": 1, "init_seed": 1},
+            "evolution": {"mode": "vite" if command == "ground" else "vrte", "dt": 0.05, "steps": 4},
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditgauge.cli", command, "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert re.fullmatch(r"numerical failure: step \d+: non-finite grad_norm\n", proc.stderr), proc.stderr
         assert not (out / "final.json").exists() and not list(out.glob("*.csv"))
 
 

@@ -29,7 +29,7 @@ from quditgauge.model import (
 from quditgauge.oracle import eigendecompose
 from quditgauge.varsim import RunContext, exact_eom, make_estimator
 
-from helpers import kron_lift, random_hermitian, random_state, series_expm
+from helpers import hadamard_eom_reference, kron_lift, random_hermitian, random_state, series_expm
 from test_ansatz import hand_built_circuit
 
 
@@ -472,6 +472,76 @@ class TestHadamardEstimator:
             assert np.max(np.abs(eom.m - exact.m)) < 1e-12
             assert np.max(np.abs(eom.v - exact.v)) < 1e-12
             assert np.max(np.abs(eom.psi.amplitudes - exact.psi.amplitudes)) < 1e-14
+
+
+
+HADAMARD_MODELS = {
+    "chain-L3-N1": ({"dimension": 1, "num_links": 3}, {"family": "chain", "layers": 1}),
+    "chain-L3-N2": ({"dimension": 1, "num_links": 3}, {"family": "chain", "layers": 2}),
+    "plaquette-N1": (
+        {"dimension": 2, "num_links": 4},
+        {"family": "plaquette", "layers": 1, "include_plaquette_gate": True},
+    ),
+}
+
+
+def hadamard_route(name):
+    model_cfg, ansatz_cfg = HADAMARD_MODELS[name]
+    ctx = RunContext.from_config(parse_config({"model": model_cfg, "ansatz": ansatz_cfg}))
+    pieces = hamiltonian_unitary_pieces(ctx.ham_spec)
+    return ctx, pieces, measure.hadamard_plan(ctx.circuit, pieces)
+
+
+class TestHadamardProgram:
+    """One EOM reads every Hadamard test off one word matrix, in the per-element loop's draw order."""
+
+    @pytest.mark.parametrize("name", ["chain-L3-N2", "plaquette-N1"])
+    @pytest.mark.parametrize("kind", ["imag", "real"])
+    def test_shots_match_per_element_loop_bitwise(self, name, kind):
+        ctx, pieces, route = hadamard_route(name)
+        theta = np.random.default_rng(45).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        for seed in (0, 1):
+            got = measure.hadamard_eom(ctx.circuit, route, theta, ctx.psi0, pieces, kind, 1000, seed)
+            want = hadamard_eom_reference(ctx.circuit, route, theta, ctx.psi0, kind, 1000, seed)
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), seed
+
+    @pytest.mark.parametrize("name", ["chain-L3-N2", "plaquette-N1"])
+    def test_noiseless_matches_exact_and_per_element_loop(self, name):
+        ctx, pieces, route = hadamard_route(name)
+        theta = np.random.default_rng(46).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        for kind in ("imag", "real"):
+            _, m, v = measure.hadamard_eom(ctx.circuit, route, theta, ctx.psi0, pieces, kind)
+            _, m_ref, v_ref = hadamard_eom_reference(ctx.circuit, route, theta, ctx.psi0, kind)
+            exact = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
+            assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref), kind
+            assert np.max(np.abs(m - exact.m)) < 1e-12 and np.max(np.abs(v - exact.v)) < 1e-12, kind
+
+    @pytest.mark.parametrize("name,totals", [("chain-L3-N1", (474, 440, 622)), ("plaquette-N1", (5624, 1924, 2960))])
+    def test_tests_per_eom_match_hand_count(self, name, totals):
+        # M: sum over mu <= nu of 4 g_mu g_nu pair words and 2 g_mu + 2 g_nu
+        # singles; VI: 2 g_mu B pair words; VR: those and 2 g_mu + B singles
+        ctx, pieces, route = hadamard_route(name)
+        g = np.array([len(ctx.circuit.slot_positions(mu)) for mu in range(ctx.circuit.num_params)])
+        b = len(pieces)
+        mus, nus = np.triu_indices(g.size)
+        metric = 4 * g[mus] * g[nus] + 2 * g[mus] + 2 * g[nus]
+        hand = {"M": metric, "VI": 2 * g * b, "VR": 2 * g * b + 2 * g + b}
+        assert route.tests["imag"].counts().tolist() == metric.tolist() + hand["VI"].tolist()
+        assert route.tests["real"].counts().tolist() == metric.tolist() + hand["VR"].tolist()
+        assert tuple(int(hand[kind].sum()) for kind in ("M", "VI", "VR")) == totals
+
+    def test_element_reads_its_slice_of_the_eom(self):
+        ctx, pieces, route = hadamard_route("chain-L3-N1")
+        circ = ctx.circuit
+        theta = np.random.default_rng(47).uniform(-np.pi, np.pi, circ.num_params)
+        _, m, vi = measure.hadamard_eom(circ, route, theta, ctx.psi0, pieces, "imag")
+        vr = measure.hadamard_eom(circ, route, theta, ctx.psi0, pieces, "real")[2]
+        # with the same pieces the element reads the same word matrix
+        for mu, nu in [(0, 0), (2, 5), (5, 2), (7, 7)]:
+            assert element_from_hadamard("M", circ, theta, mu, nu, pieces, ctx.psi0) == m[mu, nu], (mu, nu)
+        for mu in range(circ.num_params):
+            assert element_from_hadamard("VI", circ, theta, mu, None, pieces, ctx.psi0) == vi[mu], mu
+            assert element_from_hadamard("VR", circ, theta, mu, None, pieces, ctx.psi0) == vr[mu], mu
 
 
 class TestRandomized:
