@@ -78,23 +78,96 @@ class Stage:
 
 
 @dataclass(frozen=True)
+class Eigenbasis:
+    """Each gate's exp(-i t G) as V e^{-i t w} V^dag.
+
+    ``eigvals[g]`` and ``eigvecs_dag[g]`` are the eigenbasis of gate g's
+    generator, lifted to its stage's targets.
+    """
+
+    eigvals: np.ndarray
+    eigvecs_dag: np.ndarray
+
+    @classmethod
+    def build(cls, gates: Sequence[tuple[Gate, tuple[int, ...]]], d: int) -> "Eigenbasis":
+        eigvals, eigvecs = [], []
+        for gate, targets in gates:
+            w, v = np.linalg.eigh(gate.generator.matrix)
+            eigvals.append(_lift(w, gate.targets, targets, d))
+            eigvecs.append(_lift(v, gate.targets, targets, d))
+        return cls(np.stack(eigvals), np.ascontiguousarray(np.stack(eigvecs).conj().swapaxes(-1, -2)))
+
+    def matrices(self, t: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1.0j * t[:, None] * self.eigvals)[:, None, :]
+        return (self.eigvecs_dag.conj().swapaxes(-1, -2) * phases) @ self.eigvecs_dag
+
+
+@dataclass(frozen=True)
+class Eigenspaces:
+    """Each gate's exp(-i t G) as 1 + sum_k (e^{-i t w_k} - 1) P_k over G's nonzero levels w_k.
+
+    ``levels`` and ``projectors`` list the nonzero levels and spectral
+    projectors of each distinct generator once, lifted to the stage's
+    targets; ``owns[g, k]`` marks those of gate g's generator.  One
+    product of the (gates x levels) coefficients with the table builds
+    every gate, and t = 0 gives the identity exactly.
+    """
+
+    levels: np.ndarray
+    projectors: np.ndarray
+    owns: np.ndarray
+
+    @classmethod
+    def build(cls, gates: Sequence[tuple[Gate, tuple[int, ...]]], d: int) -> "Eigenspaces":
+        levels, projectors, owner, generator_of = [], [], [], []
+        index: dict[bytes, int] = {}
+        for gate, targets in gates:
+            g = _lift(gate.generator.matrix, gate.targets, targets, d)
+            key = g.tobytes()
+            if key not in index:
+                index[key] = len(index)
+                w, v = np.linalg.eigh(g)
+                gap = 1e-9 * np.abs(w).max()
+                for block in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > gap) + 1):
+                    level = w[block].mean()
+                    if abs(level) > gap:
+                        levels.append(level)
+                        projectors.append(v[:, block] @ v[:, block].conj().T)
+                        owner.append(index[key])
+            generator_of.append(index[key])
+        owns = np.array(generator_of)[:, None] == np.array(owner)[None, :]
+        return cls(np.array(levels), np.array(projectors, dtype=complex), owns)
+
+    def matrices(self, t: np.ndarray) -> np.ndarray:
+        k, b = self.projectors.shape[:2]
+        coef = np.where(self.owns, np.expm1(-1.0j * t[:, None] * self.levels), 0.0)
+        mats = (coef @ self.projectors.reshape(k, b * b)).reshape(-1, b, b)
+        mats.reshape(-1, b * b)[:, :: b + 1] += 1.0
+        return mats
+
+
+# Blocks of at least this dimension build their gates from eigenspaces: the
+# 81 x 81 four-body gate has 4 nonzero levels, where the eigenbasis product
+# costs b^3.  Smaller blocks keep the eigenbasis product, which is faster there.
+_EIGENSPACE_BLOCK = 27
+
+
+@dataclass(frozen=True)
 class StageGroup:
     """The stages of one block size, right-aligned so that one batched call builds all their matrices.
 
     ``stages`` index ``Circuit.stages``.  Stage i's gates fill the last of
     the places j of ``pad`` (``pad[j, i]`` marks the identities before
     them).  Gate g of the group sits at place ``place[0][g]`` of stage
-    ``place[1][g]`` and reads parameter slot ``slots[g]``; ``eigvals[g]``
-    and ``eigvecs_dag[g]`` are the eigenbasis of its generator, lifted to
-    the stage's targets.
+    ``place[1][g]`` and reads parameter slot ``slots[g]``; ``gates`` builds
+    their matrices.
     """
 
     stages: tuple[int, ...]
     pad: np.ndarray
     place: tuple[np.ndarray, np.ndarray]
     slots: np.ndarray
-    eigvals: np.ndarray
-    eigvecs_dag: np.ndarray
+    gates: Eigenbasis | Eigenspaces
 
     def suffixes(self, theta: np.ndarray) -> np.ndarray:
         """after[j, i] = M_w ... M_j of stage i's place matrices M.
@@ -104,8 +177,7 @@ class StageGroup:
         is exactly the identity.
         """
         t = theta[self.slots]
-        phases = np.exp(-1.0j * t[:, None] * self.eigvals)[:, None, :]
-        mats = (self.eigvecs_dag.conj().swapaxes(-1, -2) * phases) @ self.eigvecs_dag
+        mats = self.gates.matrices(t)
         eye = np.eye(mats.shape[-1])
         zero = t == 0.0
         if zero.any():
@@ -253,24 +325,20 @@ class Circuit:
         members = [self.stages[s] for s in idx]
         width = max(len(st.positions) for st in members)
         pad = np.ones((width, len(idx)), dtype=bool)
-        place, slots, eigvals, eigvecs = ([], []), [], [], []
+        place, gates = ([], []), []
         for i, st in enumerate(members):
             for j, p in enumerate(st.positions, start=width - len(st.positions)):
-                gate = self.gates[p]
-                w, v = np.linalg.eigh(gate.generator.matrix)
                 pad[j, i] = False
                 place[0].append(j)
                 place[1].append(i)
-                slots.append(gate.slot)
-                eigvals.append(_lift(w, gate.targets, st.targets, d))
-                eigvecs.append(_lift(v, gate.targets, st.targets, d))
+                gates.append((self.gates[p], st.targets))
+        form = Eigenspaces if d ** len(members[0].targets) >= _EIGENSPACE_BLOCK else Eigenbasis
         return StageGroup(
             tuple(idx),
             pad,
             (np.array(place[0]), np.array(place[1])),
-            np.array(slots),
-            np.stack(eigvals),
-            np.ascontiguousarray(np.stack(eigvecs).conj().swapaxes(-1, -2)),
+            np.array([gate.slot for gate, _ in gates]),
+            form.build(gates, d),
         )
 
     def row_plan(self, ops: Sequence[Sequence[tuple[int, np.ndarray]]]) -> RowPlan:
@@ -319,7 +387,7 @@ class Circuit:
         )
 
     def _group_inserts(self, group: StageGroup, touched: list[dict]) -> GroupInserts:
-        width, b = len(group.pad), group.eigvals.shape[-1]
+        width, b = len(group.pad), self.local_dim ** len(self.stages[group.stages[0]].targets)
         ops, inner, place, stage, starts, spans = [], [], [], [], [], []
         for i, s in enumerate(group.stages):
             offset = width - len(self.stages[s].positions)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -263,7 +264,35 @@ def _apply_overrides(cfg: RunConfig, seed: int | None) -> RunConfig:
     return cfg
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> None:
+    """Let glibc's malloc keep freed heap pages for the next EOM.
+
+    An EOM allocates and frees the same bundle-sized arrays on every call.
+    By default glibc returns that memory to the kernel when it is freed, so
+    the next call faults every page in again (about 440 minor faults per
+    EOM on the N=5 plaquette quench).  Arrays up to 32 MiB (glibc's largest
+    mmap threshold) now come from the heap, and the heap is trimmed only
+    above 1 GiB of free top.  Both are set: setting either alone turns off
+    glibc's dynamic threshold and faults more than the default.  Without
+    glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_pages()
     parser = argparse.ArgumentParser(prog="quditgauge", description=__doc__)
     parser.add_argument(
         "command",

@@ -61,10 +61,17 @@ def _shifted(theta: np.ndarray, mu: int, a: float) -> np.ndarray:
     return out
 
 
+# A word that is zero by symmetry gives P(+) = 1/2 up to roundoff, and numpy's
+# binomial draws n - X for p above 1/2, so a 1-ulp change in the word would
+# redraw its test.  Shot draws read P(+) this close to 1/2 as exactly 1/2.
+_HALF_TOLERANCE = 4 * np.spacing(0.5)
+
+
 def _maybe_binomial(p, shots: int | None, rng):
     p = np.clip(p, 0.0, 1.0)
     if shots is None:
         return p
+    p = np.where(np.abs(p - 0.5) <= _HALF_TOLERANCE, 0.5, p)
     return rng.binomial(shots, p) / shots
 
 

@@ -23,18 +23,51 @@ from .core import QuditRegister, basis_state, check_hermitian, entanglement_entr
 from .model import DIM_CAP, CapError, HamiltonianSpec
 
 
+class _Metric:
+    """``EomQuantities.m``: the metric as stored, or formed as F F^T from ``factor`` on first read."""
+
+    def __get__(self, eom, owner=None):
+        if eom is None:
+            raise AttributeError("m")  # the field has no default
+        if eom.__dict__["_m"] is None:
+            eom.__dict__["_m"] = eom.factor @ eom.factor.T
+        return eom.__dict__["_m"]
+
+    def __set__(self, eom, m):
+        eom.__dict__["_m"] = m
+
+
 @dataclass(frozen=True)
 class EomQuantities:
-    """Metric and flow vector at theta, with the state and its energy <psi|H|psi>."""
+    """Metric and flow vector at theta, with the state and its energy <psi|H|psi>.
 
-    m: np.ndarray
+    ``factor`` is None, or F (P x n with n < P) such that M = F F^T, and
+    ``target`` is then r (n entries) with F r = v.  ``exact_eom`` keeps them
+    instead of M when the circuit has more parameters than the state has
+    real directions; ``m`` is then given as None and formed from F when
+    first read.
+    """
+
+    m: np.ndarray | None = _Metric()  # no default: the descriptor raises on class access
     v: np.ndarray
     psi: QuditRegister
     energy: float
+    factor: np.ndarray | None = None
+    target: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """What ``solve_flow`` kept of the metric's spectrum.
+
+    ``rank`` counts the kept eigendirections and ``retained_cond`` is the
+    ratio of the largest kept eigenvalue to the smallest (inf when none is
+    kept).  ``eig_min`` and ``eig_max`` are the extreme eigenvalues of the
+    matrix diagonalized: M, or F^T F when M was given as its factor F.  The
+    nonzero eigenvalues of the two are the same, so rank and retained_cond
+    do not depend on which was solved.
+    """
+
     eig_min: float
     eig_max: float
     rank: int
@@ -65,6 +98,12 @@ def exact_eom(
     ``ham`` is a dense matrix or a ``Spectrum``; ``ham=None`` stands for
     H = 0, which leaves the metric alone.  Every inner product is read in
     the tangent plan's middle frame, where the sweep applies the fewest rows.
+
+    With more parameters than the state has real directions (P > 2D), the
+    metric is kept as its factor: the tangents projected off psi,
+    t_mu - <psi|t_mu> psi, whose float view F (P x 2D) has F F^T = M.  The
+    vector's preimage r, with F r = v, is the float view of 2 (H - E) psi
+    for ``kind='imag'`` and of -2i (H - E) psi for ``kind='real'``.
     """
     if kind not in ("imag", "real"):
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
@@ -75,14 +114,21 @@ def exact_eom(
         ref = np.concatenate([ref, np.zeros_like(ref)])
     bra = tang.conj().T
     ip, hp = (bra @ ref.T).T  # <d_mu psi|psi>, <d_mu psi|H|psi>
-    gram = bra @ tang
-    m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
-    m = (m + m.T) / 2.0
     energy = float(np.vdot(ref[0], ref[1]).real)
     if kind == "imag":
         v = 2.0 * hp.real
     else:
         v = 2.0 * hp.imag + 2.0 * energy * np.conj(ip).imag
+    if circuit.num_params > 2 * psi0.dim:
+        rows = tang.T  # the sweep's own gather, one row per slot
+        rows -= ip.conj()[:, None] * ref[0]
+        deriv = 2.0 * (ref[1] - energy * ref[0])
+        if kind == "real":
+            deriv *= -1.0j
+        return EomQuantities(None, v, psi, energy, rows.view(float), deriv.view(float))
+    gram = bra @ tang
+    m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
+    m = (m + m.T) / 2.0
     return EomQuantities(m, v, psi, energy)
 
 
@@ -94,20 +140,34 @@ def solve_flow(
     """Least-squares solve of M theta_dot = v by spectral pseudo-inversion.
 
     Eigendirections below ``cutoff`` times the largest eigenvalue, and every
-    one that is not positive, are discarded.
+    one that is not positive, are discarded.  ``m`` and ``v`` are M (P x P)
+    and v, or a factor F (P x n with n < P) of M = F F^T and r (n entries)
+    with v = F r.  Given the factor, the smaller F^T F = U W U^T is
+    diagonalized: its nonzero eigenvalues are M's, with M's eigenvectors
+    q = F u / sqrt(w), so the solution sum q q^T v / w over the kept
+    directions is F U W^-1 U^T r, the least-squares fit of F^T theta_dot to
+    r.  It reads r, not v = F r, which would square F's conditioning.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
-    if m.shape != (v.size, v.size):
+    if m.ndim != 2 or m.shape[1] != v.size or m.shape[1] > m.shape[0]:
         raise ValueError(f"shape mismatch: M is {m.shape}, v has {v.size} entries")
-    check_hermitian(m, "metric", rtol=1e-8)
-    sym = (m + m.T) / 2.0
-    w, q = np.linalg.eigh(sym)
+    factor = m.shape[1] < m.shape[0]
+    if factor:
+        w, u = np.linalg.eigh(m.T @ m)
+    else:
+        check_hermitian(m, "metric", rtol=1e-8)
+        sym = (m + m.T) / 2.0
+        w, q = np.linalg.eigh(sym)
     eig_min, eig_max = float(w[0]), float(w[-1])
     keep = (w > 0.0) & (w >= cutoff * eig_max)
-    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    theta_dot = q @ (inv * (q.T @ v))
     kept = w[keep]
+    if factor:
+        uk = u[:, keep]
+        theta_dot = m @ (uk @ ((uk.T @ v) / kept))
+    else:
+        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        theta_dot = q @ (inv * (q.T @ v))
     cond = float(kept[-1] / kept[0]) if kept.size else float("inf")
     return theta_dot, SolveInfo(eig_min, eig_max, int(keep.sum()), cond)
 
@@ -296,10 +356,11 @@ def _checked_flow(est, theta: np.ndarray, kind: str, sign: float, ev: EvolutionC
     if not np.all(np.isfinite(theta)):
         raise RuntimeError(f"step {step}: non-finite parameters")
     eom = est(theta, kind)
-    for what, arr in (("metric", eom.m), ("flow vector", eom.v)):
+    metric, rhs = (eom.m, eom.v) if eom.factor is None else (eom.factor, eom.target)
+    for what, arr in (("metric", metric), ("flow vector", eom.v), ("flow vector", rhs)):
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(f"step {step}: non-finite {what}")
-    dot, info = solve_flow(eom.m, sign * eom.v, ev.cutoff)
+    dot, info = solve_flow(metric, sign * rhs, ev.cutoff)
     return eom, dot, info
 
 

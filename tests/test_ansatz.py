@@ -4,6 +4,8 @@ import pytest
 
 from quditgauge.ansatz import (
     Circuit,
+    Eigenbasis,
+    Eigenspaces,
     Gate,
     _rotation_generator,
     _rz_generator,
@@ -140,6 +142,34 @@ class TestGateMatrices:
                 assert err < 1e-13, (name, g.kind, g.targets, theta)
             dim = g.generator.matrix.shape[0]
             assert np.array_equal(g.matrix(0.0), np.eye(dim)), (name, g.kind, g.targets)
+
+
+class TestGroupGateForms:
+    """Stage groups of 27 x 27 blocks or more build their gates from eigenspaces; smaller ones from eigenbases."""
+
+    def test_four_body_gates_share_one_table(self):
+        circ = plaquette_circuit(5, "real", include_plaquette_gate=True)
+        forms = {len(circ.stages[g.stages[0]].targets): g.gates for g in circ.stage_groups}
+        assert isinstance(forms[2], Eigenbasis) and isinstance(forms[4], Eigenspaces)
+        table = forms[4]
+        # five gates, one generator: its four nonzero levels {+-1, +-sqrt 2} stored once
+        assert table.projectors.shape == (4, 81, 81) and table.owns.shape == (5, 4) and table.owns.all()
+        assert np.allclose(np.sort(table.levels), [-np.sqrt(2), -1.0, 1.0, np.sqrt(2)])
+
+    def test_matches_closed_form_and_zero_is_identity(self):
+        circ = plaquette_circuit(2, "real", include_plaquette_gate=True)
+        group = next(g for g in circ.stage_groups if isinstance(g.gates, Eigenspaces))
+        gate = circ.gates[circ.stages[group.stages[0]].positions[0]]
+        t = np.array([0.0, 0.7, -2.3])
+        mats = Eigenspaces.build([(gate, gate.targets)] * 3, 3).matrices(t)
+        assert np.array_equal(mats[0], np.eye(81))
+        for m, theta in zip(mats[1:], t[1:]):
+            assert np.max(np.abs(m - closed_form(gate, theta))) < 1e-13
+        theta = np.random.default_rng(41).uniform(-np.pi, np.pi, circ.num_params)
+        theta[group.slots[0]] = 0.0
+        after = group.suffixes(theta)
+        assert np.array_equal(after[0, 0], np.eye(81))
+        assert np.max(np.abs(after[0, 1] - closed_form(gate, theta[group.slots[1]]))) < 1e-13
 
 
 def dense_tangents(circ, theta, psi0):

@@ -1,4 +1,5 @@
 """Configuration handling, output formats, determinism, exit codes."""
+import ctypes
 import json
 import os
 import re
@@ -521,6 +522,45 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "parameters: " in proc.stdout
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+class TestFreedPagesKept:
+    """The CLI keeps freed heap pages, so an EOM does not fault its arrays in anew on every call."""
+
+    def test_quench_faults_few_pages(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        data = {
+            "model": {"dimension": 2, "num_links": 4},
+            "ansatz": {"family": "plaquette", "layers": 5, "include_plaquette_gate": True},
+            "evolution": {"mode": "vrte", "dt": 0.01, "steps": 10, "integrator": "rk4"},
+        }
+        cfg_path = write_config(tmp_path, "c.json", data)
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+
+        def minor_faults(command):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            proc = subprocess.run(
+                [sys.executable, "-m", "quditgauge", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        # start-up, imports and set-up fault alike in both; the 40 EOMs of the
+        # quench faulted about 13,000 pages more when glibc trimmed its heap
+        assert minor_faults("quench") - minor_faults("info") < 3000
 
 
 class TestNumericalFailure:

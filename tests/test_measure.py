@@ -80,6 +80,28 @@ class TestOverlaps:
         assert val * 1000 == pytest.approx(round(val * 1000))
 
 
+class TestShotDrawsNearOneHalf:
+    """A P(+) a few ulp from 1/2 (a word zero by symmetry, up to roundoff) draws as exactly 1/2."""
+
+    def test_equal_seeds_draw_equal_counts(self):
+        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        draws = [
+            measure._maybe_binomial(np.full(200, p), 1000, np.random.default_rng(5))
+            for p in (below, 0.5, above, 0.5 + 2 * np.spacing(0.5))
+        ]
+        for got in draws:
+            assert np.array_equal(got, draws[1])
+
+    def test_noiseless_values_unchanged(self):
+        p = np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.25])
+        assert np.array_equal(measure._maybe_binomial(p, None, None), p)
+
+    def test_other_probabilities_draw_as_before(self):
+        p = np.array([0.1, 0.5 - 1e-6, 0.5 + 1e-6, 0.9])
+        got = measure._maybe_binomial(p, 1000, np.random.default_rng(6))
+        assert np.array_equal(got, np.random.default_rng(6).binomial(1000, p) / 1000)
+
+
 class TestPlans:
     def test_single_rotation_slot_frequencies(self):
         # a slot driving rotations has shift-generator eigenvalues {0, +-1/2}

@@ -314,6 +314,97 @@ class TestSolveFlow:
         assert info.rank == 2
 
 
+def plaquette_n5_context() -> RunContext:
+    return RunContext.from_config(
+        parse_config(
+            {
+                "model": {"dimension": 2, "num_links": 4},
+                "ansatz": {"family": "plaquette", "layers": 5, "include_plaquette_gate": True},
+                "evolution": {"mode": "vrte"},
+            }
+        )
+    )
+
+
+def end_frame_metric(circ, theta, psi0):
+    """M = Re(T^dag T) - Re(ip ip^dag) from the output-frame tangents, as a P x P matrix."""
+    psi, tang, _ = circ.tangents(theta, psi0)
+    ip = tang.conj().T @ psi.amplitudes
+    m = (tang.conj().T @ tang).real - np.outer(ip, ip.conj()).real
+    return (m + m.T) / 2.0
+
+
+class TestFactorSolve:
+    """With more parameters than real directions (P > 2D), the flow is solved on the 2D side."""
+
+    @pytest.mark.parametrize("seed", [None, 61], ids=["theta-zero", "seeded-theta"])
+    def test_plaquette_matches_metric_solve(self, seed):
+        ctx = plaquette_n5_context()
+        circ, psi0 = ctx.circuit, ctx.psi0
+        assert circ.num_params > 2 * psi0.dim  # 185 > 162
+        theta = np.zeros(circ.num_params) if seed is None else np.random.default_rng(seed).uniform(-1, 1, circ.num_params)
+        eom = exact_eom(circ, theta, ctx.spectrum, psi0, "real")
+        assert eom.factor.shape == (circ.num_params, 2 * psi0.dim)
+        assert np.max(np.abs(eom.factor @ eom.target - eom.v)) < 1e-12
+        dot, info = solve_flow(eom.factor, 0.5 * eom.target)
+        want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), 0.5 * eom.v)
+        assert info.rank == want_info.rank
+        if seed is None:
+            assert info.rank == 17
+        assert np.max(np.abs(dot - want)) < 1e-8 * np.max(np.abs(want))
+        assert info.retained_cond == pytest.approx(want_info.retained_cond, rel=1e-6)
+
+    def test_small_chain_matches_metric_solve(self):
+        circ = chain_circuit(3, 4, "real")
+        psi0 = vacuum(3)
+        assert circ.num_params > 2 * psi0.dim  # 72 > 54
+        ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
+        theta = np.random.default_rng(67).uniform(-1, 1, circ.num_params)
+        for kind, sign in (("imag", -0.5), ("real", 0.5)):
+            eom = exact_eom(circ, theta, ham, psi0, kind)
+            assert np.max(np.abs(eom.factor @ eom.factor.T - end_frame_metric(circ, theta, psi0))) < 1e-12
+            assert np.max(np.abs(eom.factor @ eom.target - eom.v)) < 1e-12, kind
+            dot, info = solve_flow(eom.factor, sign * eom.target)
+            want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), sign * eom.v)
+            assert info.rank == want_info.rank, kind
+            assert np.max(np.abs(dot - want)) < 1e-8 * np.max(np.abs(want)), kind
+            assert info.retained_cond == pytest.approx(want_info.retained_cond, rel=1e-6), kind
+
+    def test_at_most_2d_parameters_keep_the_metric_solve(self):
+        # the metric path's arithmetic, written out: the flow is bit for bit this
+        circ = chain_circuit(3, 2, "real")
+        psi0 = vacuum(3)
+        assert circ.num_params <= 2 * psi0.dim
+        ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
+        theta = np.random.default_rng(71).uniform(-1, 1, circ.num_params)
+        eom = exact_eom(circ, theta, ham, psi0, "real")
+        assert eom.factor is None
+        _, tang, ref = circ.tangents(theta, psi0, circ.tangent_plan.middle, ham)
+        bra = tang.conj().T
+        ip = (bra @ ref.T).T[0]
+        m = (bra @ tang).real - (ip[:, None] * ip.conj()[None, :]).real
+        m = (m + m.T) / 2.0
+        assert np.array_equal(eom.m, m)
+        w, q = np.linalg.eigh((m + m.T) / 2.0)
+        keep = (w > 0.0) & (w >= 1e-8 * w[-1])
+        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        want = q @ (inv * (q.T @ (0.5 * eom.v)))
+        _, dot, _ = _checked_flow(lambda th, kind: eom, theta, "real", 0.5, EvolutionConfig(mode="vrte"), 0)
+        assert np.array_equal(dot, want)
+
+    def test_metric_formed_only_when_read(self):
+        circ = chain_circuit(3, 4, "real")
+        eom = exact_eom(circ, np.zeros(circ.num_params), None, vacuum(3), "imag")
+        assert eom.__dict__["_m"] is None
+        m = eom.m
+        assert m.shape == (circ.num_params, circ.num_params) and eom.m is m
+
+    @pytest.mark.parametrize("shape,size", [((3, 4), 3), ((4, 3), 4), ((3, 3), 2)])
+    def test_shape_mismatch_rejected(self, shape, size):
+        with pytest.raises(ValueError):
+            solve_flow(np.ones(shape), np.ones(size))
+
+
 class TestIntegrateStep:
     def test_zero_derivative(self):
         theta = np.array([1.0, 2.0])
@@ -451,6 +542,18 @@ class TestNonFiniteFlow:
         ev = EvolutionConfig(mode="vite")
         with pytest.raises(RuntimeError, match="step 4: non-finite"):
             _checked_flow(est, np.zeros(circ.num_params), "imag", -0.5, ev, 4)
+
+    def test_non_finite_factor_names_the_step(self):
+        circ = chain_circuit(3, 4, "real")
+
+        def est(theta, kind):
+            eom = exact_eom(circ, theta, None, vacuum(3), kind)
+            bad = eom.factor.copy()
+            bad[0, 0] = np.nan
+            return dataclasses.replace(eom, factor=bad)
+
+        with pytest.raises(RuntimeError, match="step 3: non-finite metric"):
+            _checked_flow(est, np.zeros(circ.num_params), "real", 0.5, EvolutionConfig(mode="vrte"), 3)
 
     def test_non_finite_theta_names_the_step(self):
         def est(theta, kind):
