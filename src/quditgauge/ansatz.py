@@ -54,15 +54,14 @@ def _is_adjacent_pair(targets: tuple[int, ...]) -> bool:
 
 
 def _lift(a: np.ndarray, targets: tuple[int, ...], stage_targets: tuple[int, ...], d: int) -> np.ndarray:
-    """A matrix (or a diagonal) on ``targets`` as the same factor on ``stage_targets``.
+    """A matrix on ``targets`` as the same factor on ``stage_targets``.
 
     ``targets`` is ``stage_targets`` itself or one qudit of an adjacent pair;
     ``stage_targets[0]`` is the more significant factor.
     """
     if targets == stage_targets:
         return a
-    one = np.eye(d) if a.ndim == 2 else np.ones(d)
-    return np.kron(a, one) if targets[0] == stage_targets[0] else np.kron(one, a)
+    return np.kron(a, np.eye(d)) if targets[0] == stage_targets[0] else np.kron(np.eye(d), a)
 
 
 @dataclass(frozen=True)
@@ -78,114 +77,41 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class Eigenbasis:
-    """Each gate's exp(-i t G) as V e^{-i t w} V^dag.
-
-    ``eigvals[g]`` and ``eigvecs_dag[g]`` are the eigenbasis of gate g's
-    generator, lifted to its stage's targets.
-    """
-
-    eigvals: np.ndarray
-    eigvecs_dag: np.ndarray
-
-    @classmethod
-    def build(cls, gates: Sequence[tuple[Gate, tuple[int, ...]]], d: int) -> "Eigenbasis":
-        eigvals, eigvecs = [], []
-        for gate, targets in gates:
-            w, v = np.linalg.eigh(gate.generator.matrix)
-            eigvals.append(_lift(w, gate.targets, targets, d))
-            eigvecs.append(_lift(v, gate.targets, targets, d))
-        return cls(np.stack(eigvals), np.ascontiguousarray(np.stack(eigvecs).conj().swapaxes(-1, -2)))
-
-    def matrices(self, t: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1.0j * t[:, None] * self.eigvals)[:, None, :]
-        return (self.eigvecs_dag.conj().swapaxes(-1, -2) * phases) @ self.eigvecs_dag
-
-
-@dataclass(frozen=True)
-class Eigenspaces:
-    """Each gate's exp(-i t G) as 1 + sum_k (e^{-i t w_k} - 1) P_k over G's nonzero levels w_k.
-
-    ``levels`` and ``projectors`` list the nonzero levels and spectral
-    projectors of each distinct generator once, lifted to the stage's
-    targets; ``owns[g, k]`` marks those of gate g's generator.  One
-    product of the (gates x levels) coefficients with the table builds
-    every gate, and t = 0 gives the identity exactly.
-    """
-
-    levels: np.ndarray
-    projectors: np.ndarray
-    owns: np.ndarray
-
-    @classmethod
-    def build(cls, gates: Sequence[tuple[Gate, tuple[int, ...]]], d: int) -> "Eigenspaces":
-        levels, projectors, owner, generator_of = [], [], [], []
-        index: dict[bytes, int] = {}
-        for gate, targets in gates:
-            g = _lift(gate.generator.matrix, gate.targets, targets, d)
-            key = g.tobytes()
-            if key not in index:
-                index[key] = len(index)
-                w, v = np.linalg.eigh(g)
-                gap = 1e-9 * np.abs(w).max()
-                for block in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > gap) + 1):
-                    level = w[block].mean()
-                    if abs(level) > gap:
-                        levels.append(level)
-                        projectors.append(v[:, block] @ v[:, block].conj().T)
-                        owner.append(index[key])
-            generator_of.append(index[key])
-        owns = np.array(generator_of)[:, None] == np.array(owner)[None, :]
-        return cls(np.array(levels), np.array(projectors, dtype=complex), owns)
-
-    def matrices(self, t: np.ndarray) -> np.ndarray:
-        k, b = self.projectors.shape[:2]
-        coef = np.where(self.owns, np.expm1(-1.0j * t[:, None] * self.levels), 0.0)
-        mats = (coef @ self.projectors.reshape(k, b * b)).reshape(-1, b, b)
-        mats.reshape(-1, b * b)[:, :: b + 1] += 1.0
-        return mats
-
-
-# Blocks of at least this dimension build their gates from eigenspaces: the
-# 81 x 81 four-body gate has 4 nonzero levels, where the eigenbasis product
-# costs b^3.  Smaller blocks keep the eigenbasis product, which is faster there.
-_EIGENSPACE_BLOCK = 27
-
-
-@dataclass(frozen=True)
 class StageGroup:
-    """The stages of one block size, right-aligned so that one batched call builds all their matrices.
+    """The stages of one block size, right-aligned so that one product builds all their matrices.
 
     ``stages`` index ``Circuit.stages``.  Stage i's gates fill the last of
-    the places j of ``pad`` (``pad[j, i]`` marks the identities before
-    them).  Gate g of the group sits at place ``place[0][g]`` of stage
-    ``place[1][g]`` and reads parameter slot ``slots[g]``; ``gates`` builds
-    their matrices.
+    the ``width`` places of its column in the group's grid; the others hold
+    identities.  A gate exp(-i t G) is 1 + sum_k (e^{-i t w_k} - 1) P_k
+    over the nonzero levels w_k of G lifted to the stage's targets.
+    ``levels`` and ``projectors`` list each distinct lifted generator's
+    nonzero levels and spectral projectors once.  Entry e pairs a gate with
+    one level of its own: grid cell ``cell[e]`` (place * stages + stage)
+    gets that level's term, with t read from parameter slot ``slots[e]``
+    and w_k at ``levels[level[e]]``.
     """
 
     stages: tuple[int, ...]
-    pad: np.ndarray
-    place: tuple[np.ndarray, np.ndarray]
+    width: int
+    cell: np.ndarray
     slots: np.ndarray
-    gates: Eigenbasis | Eigenspaces
+    level: np.ndarray
+    levels: np.ndarray
+    projectors: np.ndarray
 
     def suffixes(self, theta: np.ndarray) -> np.ndarray:
         """after[j, i] = M_w ... M_j of stage i's place matrices M.
 
         after[0] holds the stage unitaries, and after[j + 1] carries a matrix
-        inserted after place j to the stage's output.  A gate at theta = 0
-        is exactly the identity.
+        inserted after place j to the stage's output.  An empty place and a
+        gate at theta = 0 are exactly the identity, as expm1(0) = 0.
         """
-        t = theta[self.slots]
-        mats = self.gates.matrices(t)
-        eye = np.eye(mats.shape[-1])
-        zero = t == 0.0
-        if zero.any():
-            mats[zero] = eye
-        after = np.empty(self.pad.shape + mats.shape[1:], dtype=complex)
-        after[self.pad] = eye
-        after[self.place] = mats
-        for j in range(len(after) - 2, -1, -1):
+        k, b = self.projectors.shape[:2]
+        coef = np.zeros((self.width * len(self.stages), k), dtype=complex)
+        coef[self.cell, self.level] = np.expm1(-1.0j * theta[self.slots] * self.levels[self.level])
+        after = (coef @ self.projectors.reshape(k, b * b)).reshape(self.width, len(self.stages), b, b)
+        after.reshape(-1, b * b)[:, :: b + 1] += 1.0
+        for j in range(self.width - 2, -1, -1):
             np.matmul(after[j + 1], after[j], out=after[j])
         return after
 
@@ -324,21 +250,32 @@ class Circuit:
         d = self.local_dim
         members = [self.stages[s] for s in idx]
         width = max(len(st.positions) for st in members)
-        pad = np.ones((width, len(idx)), dtype=bool)
-        place, gates = ([], []), []
+        levels, projectors, cell, slots, level = [], [], [], [], []
+        owned: dict[bytes, list[int]] = {}  # each distinct lifted generator's levels
         for i, st in enumerate(members):
             for j, p in enumerate(st.positions, start=width - len(st.positions)):
-                pad[j, i] = False
-                place[0].append(j)
-                place[1].append(i)
-                gates.append((self.gates[p], st.targets))
-        form = Eigenspaces if d ** len(members[0].targets) >= _EIGENSPACE_BLOCK else Eigenbasis
+                gate = self.gates[p]
+                g = _lift(gate.generator.matrix, gate.targets, st.targets, d)
+                own = owned.setdefault(g.tobytes(), [])
+                if not own:
+                    w, v = np.linalg.eigh(g)
+                    gap = 1e-9 * np.abs(w).max()
+                    for block in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > gap) + 1):
+                        if abs(w[block].mean()) > gap:
+                            own.append(len(levels))
+                            levels.append(w[block].mean())
+                            projectors.append(v[:, block] @ v[:, block].conj().T)
+                cell += [j * len(idx) + i] * len(own)
+                slots += [gate.slot] * len(own)
+                level += own
         return StageGroup(
             tuple(idx),
-            pad,
-            (np.array(place[0]), np.array(place[1])),
-            np.array([gate.slot for gate, _ in gates]),
-            form.build(gates, d),
+            width,
+            np.array(cell, dtype=np.intp),
+            np.array(slots, dtype=np.intp),
+            np.array(level, dtype=np.intp),
+            np.array(levels),
+            np.array(projectors, dtype=complex),
         )
 
     def row_plan(self, ops: Sequence[Sequence[tuple[int, np.ndarray]]]) -> RowPlan:
@@ -387,7 +324,7 @@ class Circuit:
         )
 
     def _group_inserts(self, group: StageGroup, touched: list[dict]) -> GroupInserts:
-        width, b = len(group.pad), self.local_dim ** len(self.stages[group.stages[0]].targets)
+        width, b = group.width, self.local_dim ** len(self.stages[group.stages[0]].targets)
         ops, inner, place, stage, starts, spans = [], [], [], [], [], []
         for i, s in enumerate(group.stages):
             offset = width - len(self.stages[s].positions)

@@ -383,8 +383,8 @@ def _programs(circuit: Circuit, coefs: np.ndarray, ham_coefs: np.ndarray, ham_co
 class HadamardRoute:
     """The Hadamard route of one circuit and one Hamiltonian: its sweep and its tests.
 
-    Gate p's generator is c_p (u_p + u_p^dag); ``rows`` inserts u_p
-    (row 2p) and u_p^dag (row 2p + 1) after gate p, so a word
+    Gate p of ``circuit`` has the generator c_p (u_p + u_p^dag); ``rows``
+    inserts u_p (row 2p) and u_p^dag (row 2p + 1) after gate p, so a word
     <psi0| A~^dag B~ |psi0> of pieces conjugated up to their gates is
     <row(A)|row(B)>.  Hamiltonian piece b, c_b h_b, acts at the end of the
     circuit: ``ham_kernels`` apply the pieces on one target set in one
@@ -392,6 +392,7 @@ class HadamardRoute:
     calls.  ``tests[kind]`` lays out one EOM of ``kind`` ('imag', 'real').
     """
 
+    circuit: Circuit
     rows: RowPlan
     ham_pieces: Sequence[tuple[float, LocalOperator]]
     ham_kernels: tuple
@@ -418,12 +419,12 @@ def hadamard_plan(circuit: Circuit, ham_pieces: Sequence[tuple[float, LocalOpera
     ham_col[[b for bs in targets.values() for b in bs]] = np.arange(len(ham_pieces))
     coefs, ham_coefs = np.array(coefs), np.array([coef for coef, _ in ham_pieces], dtype=float)
     tests = _programs(circuit, coefs, ham_coefs, ham_col)
-    return HadamardRoute(circuit.row_plan(ops), ham_pieces, kernels, ham_col, tests)
+    return HadamardRoute(circuit, circuit.row_plan(ops), ham_pieces, kernels, ham_col, tests)
 
 
-def _read_words(circuit: Circuit, route: HadamardRoute, theta, psi0: QuditRegister) -> tuple[QuditRegister, np.ndarray]:
+def _read_words(route: HadamardRoute, theta, psi0: QuditRegister) -> tuple[QuditRegister, np.ndarray]:
     """The state and the word matrix <L_x|R_y> of L = (rows, psi) and R = (rows, psi, h_b psi) at theta."""
-    psi, rows, _ = circuit.sweep(theta, psi0, route.rows)
+    psi, rows, _ = route.circuit.sweep(theta, psi0, route.rows)
     r = rows.shape[0]
     right = np.empty((r + 1 + route.ham_col.size, psi.dim), dtype=complex)
     right[:r], right[r] = rows, psi.amplitudes
@@ -486,37 +487,33 @@ def element_from_hadamard(
     else:
         e = npar * (npar + 1) // 2 + mu
     route = hadamard_plan(circuit, ham_pieces or ())
-    words = _read_words(circuit, route, theta, psi0)[1]
+    words = _read_words(route, theta, psi0)[1]
     rng = np.random.default_rng(seed) if shots is not None else None
     tests = route.tests["real" if kind == "VR" else "imag"].element(e)
     return float(_element_values(kind, _term_sums(tests, words, shots, rng))[0])
 
 
 def hadamard_eom(
-    circuit: Circuit,
     route: HadamardRoute,
     theta,
     psi0: QuditRegister,
-    ham_pieces: Sequence[tuple[float, LocalOperator]],
     kind: str,
     shots: int | None = None,
     seed: int = 0,
 ) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
     """State, metric and the vector of ``kind`` ('imag': VI, 'real': VR) from one stage sweep.
 
-    ``route`` is ``hadamard_plan(circuit, ham_pieces)``; a route planned
-    for other pieces is planned again for these.  With shots, one generator
-    draws the metric's upper triangle row by row, then the vector.
+    ``route`` is ``hadamard_plan(circuit, ham_pieces)`` and reads H as those
+    pieces.  With shots, one generator draws the metric's upper triangle row
+    by row, then the vector.
     """
     labels = {"imag": "VI", "real": "VR"}
     if kind not in labels:
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
-    if route.ham_pieces is not ham_pieces:
-        route = hadamard_plan(circuit, ham_pieces)
-    psi, words = _read_words(circuit, route, theta, psi0)
+    psi, words = _read_words(route, theta, psi0)
     rng = np.random.default_rng(seed) if shots is not None else None
     sums = _term_sums(route.tests[kind], words, shots, rng)
-    npar = circuit.num_params
+    npar = route.circuit.num_params
     mus, nus = np.triu_indices(npar)
     m = np.empty((npar, npar))
     m[mus, nus] = m[nus, mus] = _element_values("M", sums[: mus.size])

@@ -41,11 +41,10 @@ class _Metric:
 class EomQuantities:
     """Metric and flow vector at theta, with the state and its energy <psi|H|psi>.
 
-    ``factor`` is None, or F (P x n with n < P) such that M = F F^T, and
-    ``target`` is then r (n entries) with F r = v.  ``exact_eom`` keeps them
-    instead of M when the circuit has more parameters than the state has
-    real directions; ``m`` is then given as None and formed from F when
-    first read.
+    ``factor`` is None, or F (P x n) such that M = F F^T, and ``target`` is
+    then r (n entries) with F r = v.  ``exact_eom`` always returns the
+    factor, with ``m`` given as None and formed from F when first read;
+    the estimator routes return M itself.
     """
 
     m: np.ndarray | None = _Metric()  # no default: the descriptor raises on class access
@@ -90,20 +89,16 @@ class TrajectoryRecord:
 def exact_eom(
     circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum | None, psi0: QuditRegister, kind: str
 ) -> EomQuantities:
-    """Metric and flow vector of ``kind`` from one tangent sweep.
+    """Metric and flow vector of ``kind``, as a factor and its preimage, from one tangent sweep.
 
-    The metric is the real part of the quantum geometric tensor.  The flow
-    vector is dE/dtheta = 2 Re <d_mu psi|H|psi> for ``kind='imag'`` and, for
-    ``kind='real'``, 2 Im <d_mu psi|H|psi> plus the global-phase correction.
-    ``ham`` is a dense matrix or a ``Spectrum``; ``ham=None`` stands for
-    H = 0, which leaves the metric alone.  Every inner product is read in
-    the tangent plan's middle frame, where the sweep applies the fewest rows.
-
-    With more parameters than the state has real directions (P > 2D), the
-    metric is kept as its factor: the tangents projected off psi,
-    t_mu - <psi|t_mu> psi, whose float view F (P x 2D) has F F^T = M.  The
-    vector's preimage r, with F r = v, is the float view of 2 (H - E) psi
-    for ``kind='imag'`` and of -2i (H - E) psi for ``kind='real'``.
+    The metric is the real part of the quantum geometric tensor, kept as
+    its factor: the tangents projected off psi, t_mu - <psi|t_mu> psi,
+    whose float view F (P x 2D) has F F^T = M.  The flow vector's preimage
+    r, with F r = v, is the float view of 2 (H - E) psi for ``kind='imag'``
+    (v = dE/dtheta) and of -2i (H - E) psi for ``kind='real'``.  ``ham`` is
+    a dense matrix or a ``Spectrum``; ``ham=None`` stands for H = 0, which
+    leaves the metric alone.  Every inner product is read in the tangent
+    plan's middle frame, where the sweep applies the fewest rows.
     """
     if kind not in ("imag", "real"):
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
@@ -112,53 +107,45 @@ def exact_eom(
     psi, tang, ref = circuit.tangents(theta, psi0, circuit.tangent_plan.middle, ham)
     if ham is None:
         ref = np.concatenate([ref, np.zeros_like(ref)])
-    bra = tang.conj().T
-    ip, hp = (bra @ ref.T).T  # <d_mu psi|psi>, <d_mu psi|H|psi>
+    rows = tang.T  # the sweep's own gather, one row per slot
     energy = float(np.vdot(ref[0], ref[1]).real)
-    if kind == "imag":
-        v = 2.0 * hp.real
-    else:
-        v = 2.0 * hp.imag + 2.0 * energy * np.conj(ip).imag
-    if circuit.num_params > 2 * psi0.dim:
-        rows = tang.T  # the sweep's own gather, one row per slot
-        rows -= ip.conj()[:, None] * ref[0]
-        deriv = 2.0 * (ref[1] - energy * ref[0])
-        if kind == "real":
-            deriv *= -1.0j
-        return EomQuantities(None, v, psi, energy, rows.view(float), deriv.view(float))
-    gram = bra @ tang
-    m = gram.real - (ip[:, None] * ip.conj()[None, :]).real
-    m = (m + m.T) / 2.0
-    return EomQuantities(m, v, psi, energy)
+    rows -= (rows @ ref[0].conj())[:, None] * ref[0]  # <psi|t_mu> psi
+    deriv = 2.0 * (ref[1] - energy * ref[0])
+    if kind == "real":
+        deriv *= -1.0j
+    factor, target = rows.view(float), deriv.view(float)
+    return EomQuantities(None, factor @ target, psi, energy, factor, target)
 
 
 def solve_flow(
     m: np.ndarray,
     v: np.ndarray,
     cutoff: float = 1e-8,
+    factor: bool = False,
 ) -> tuple[np.ndarray, SolveInfo]:
     """Least-squares solve of M theta_dot = v by spectral pseudo-inversion.
 
     Eigendirections below ``cutoff`` times the largest eigenvalue, and every
     one that is not positive, are discarded.  ``m`` and ``v`` are M (P x P)
-    and v, or a factor F (P x n with n < P) of M = F F^T and r (n entries)
-    with v = F r.  Given the factor, the smaller F^T F = U W U^T is
-    diagonalized: its nonzero eigenvalues are M's, with M's eigenvectors
-    q = F u / sqrt(w), so the solution sum q q^T v / w over the kept
-    directions is F U W^-1 U^T r, the least-squares fit of F^T theta_dot to
-    r.  It reads r, not v = F r, which would square F's conditioning.
+    and v, or, with ``factor``, a factor F (P x n) of M = F F^T and r (n
+    entries) with v = F r.  A factor with P <= n is solved as M = F F^T and
+    v = F r.  With P > n the smaller F^T F = U W U^T is diagonalized: its
+    nonzero eigenvalues are M's, with M's eigenvectors q = F u / sqrt(w), so
+    the solution sum q q^T v / w over the kept directions is
+    F U W^-1 U^T r, the least-squares fit of F^T theta_dot to r.  It reads
+    r, not v = F r, which would square F's conditioning.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
-    if m.ndim != 2 or m.shape[1] != v.size or m.shape[1] > m.shape[0]:
-        raise ValueError(f"shape mismatch: M is {m.shape}, v has {v.size} entries")
-    factor = m.shape[1] < m.shape[0]
+    if m.ndim != 2 or m.shape[1] != v.size or not (factor or m.shape[0] == v.size):
+        raise ValueError(f"shape mismatch: {'F' if factor else 'M'} is {m.shape}, v has {v.size} entries")
+    if factor and m.shape[0] <= m.shape[1]:  # M = F F^T is the smaller matrix
+        m, v, factor = m @ m.T, m @ v, False
     if factor:
         w, u = np.linalg.eigh(m.T @ m)
     else:
         check_hermitian(m, "metric", rtol=1e-8)
-        sym = (m + m.T) / 2.0
-        w, q = np.linalg.eigh(sym)
+        w, q = np.linalg.eigh((m + m.T) / 2.0)
     eig_min, eig_max = float(w[0]), float(w[-1])
     keep = (w > 0.0) & (w >= cutoff * eig_max)
     kept = w[keep]
@@ -294,11 +281,10 @@ def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
                 raise ValueError("the shift route provides the metric and dE/dtheta only")
             return measure.shift_eom(plans, theta, psi0, spectrum, shots, seed(shots is not None))
     elif est_cfg.mode == "hadamard":
-        pieces = model_mod.hamiltonian_unitary_pieces(ctx.ham_spec)
-        plan = measure.hadamard_plan(circuit, pieces)
+        plan = measure.hadamard_plan(circuit, model_mod.hamiltonian_unitary_pieces(ctx.ham_spec))
 
         def route(theta, kind):
-            return measure.hadamard_eom(circuit, plan, theta, psi0, pieces, kind, shots, seed(shots is not None))
+            return measure.hadamard_eom(plan, theta, psi0, kind, shots, seed(shots is not None))
     elif est_cfg.mode == "randomized":
         def route(theta, kind):
             if kind != "real":
@@ -360,7 +346,7 @@ def _checked_flow(est, theta: np.ndarray, kind: str, sign: float, ev: EvolutionC
     for what, arr in (("metric", metric), ("flow vector", eom.v), ("flow vector", rhs)):
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(f"step {step}: non-finite {what}")
-    dot, info = solve_flow(metric, sign * rhs, ev.cutoff)
+    dot, info = solve_flow(metric, sign * rhs, ev.cutoff, eom.factor is not None)
     return eom, dot, info
 
 
@@ -389,6 +375,7 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     for k in range(ev.steps + 1):
         eom, dot, info = _checked_flow(est, theta, "imag", -0.5, ev, k)
         rec = snapshot(ctx, theta, k, tau, reference, eom, info.retained_cond)
+        del eom  # a held EOM would keep its tangent bundle alive through the next sweep
         records.append(rec)
         if k == ev.steps or rec.grad_norm < ev.grad_tolerance:
             break
@@ -428,6 +415,7 @@ def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
         ref, row = exact_row(ctx, k, t)
         eom, dot, info = _checked_flow(est, theta, "real", 0.5, ev, k)
         records.append(snapshot(ctx, theta, k, t, ref, eom, info.retained_cond))
+        del eom  # a held EOM would keep its tangent bundle alive through the next sweep
         exact_rows.append(row)
         if k == ev.steps:
             break

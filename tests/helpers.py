@@ -60,7 +60,7 @@ def random_hermitian(dim: int, rng) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def hadamard_eom_reference(circuit, route, theta, psi0, kind: str, shots=None, seed: int = 0):
+def hadamard_eom_reference(route, theta, psi0, kind: str, shots=None, seed: int = 0):
     """The Hadamard route's metric and vector, one element at a time: the reference for ``hadamard_eom``.
 
     A loop over the metric's upper triangle row by row, then the vector;
@@ -73,7 +73,8 @@ def hadamard_eom_reference(circuit, route, theta, psi0, kind: str, shots=None, s
     from quditgauge import measure
     from quditgauge.model import unitary_split
 
-    psi, words = measure._read_words(circuit, route, theta, psi0)
+    circuit = route.circuit
+    psi, words = measure._read_words(route, theta, psi0)
     nrows = 2 * len(circuit.gates)
     coefs = np.array([unitary_split(g.generator).norm / 2.0 for g in circuit.gates])
     ham = nrows + 1 + route.ham_col

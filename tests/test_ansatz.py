@@ -4,8 +4,6 @@ import pytest
 
 from quditgauge.ansatz import (
     Circuit,
-    Eigenbasis,
-    Eigenspaces,
     Gate,
     _rotation_generator,
     _rz_generator,
@@ -144,32 +142,55 @@ class TestGateMatrices:
             assert np.array_equal(g.matrix(0.0), np.eye(dim)), (name, g.kind, g.targets)
 
 
-class TestGroupGateForms:
-    """Stage groups of 27 x 27 blocks or more build their gates from eigenspaces; smaller ones from eigenbases."""
+GROUP_CIRCUITS = {
+    "L3": lambda: chain_circuit(3, 1, "imag"),
+    "L7": lambda: chain_circuit(7, 3, "imag"),
+    "N5-gate": lambda: plaquette_circuit(5, "real", include_plaquette_gate=True),
+}
+
+
+def stage_product(circ, stage, theta):
+    """A stage's unitary as the product of its gates' matrices, each on the stage's targets."""
+    b = 3 ** len(stage.targets)
+    out = np.eye(b, dtype=complex)
+    for p in stage.positions:
+        gate = circ.gates[p]
+        m = gate.matrix(theta[gate.slot])
+        if gate.targets != stage.targets:
+            m = np.kron(m, np.eye(3)) if gate.targets[0] == stage.targets[0] else np.kron(np.eye(3), m)
+        out = m @ out
+    return out
+
+
+class TestGroupGateTable:
+    """Every stage group builds its gates in one product with one table of spectral projectors."""
 
     def test_four_body_gates_share_one_table(self):
         circ = plaquette_circuit(5, "real", include_plaquette_gate=True)
-        forms = {len(circ.stages[g.stages[0]].targets): g.gates for g in circ.stage_groups}
-        assert isinstance(forms[2], Eigenbasis) and isinstance(forms[4], Eigenspaces)
-        table = forms[4]
+        group = next(g for g in circ.stage_groups if len(circ.stages[g.stages[0]].targets) == 4)
         # five gates, one generator: its four nonzero levels {+-1, +-sqrt 2} stored once
-        assert table.projectors.shape == (4, 81, 81) and table.owns.shape == (5, 4) and table.owns.all()
-        assert np.allclose(np.sort(table.levels), [-np.sqrt(2), -1.0, 1.0, np.sqrt(2)])
+        assert len(group.stages) == 5 and group.projectors.shape == (4, 81, 81)
+        assert np.allclose(np.sort(group.levels), [-np.sqrt(2), -1.0, 1.0, np.sqrt(2)])
+        assert group.cell.size == 20 and sorted(group.level.tolist()) == sorted(5 * [0, 1, 2, 3])
 
-    def test_matches_closed_form_and_zero_is_identity(self):
-        circ = plaquette_circuit(2, "real", include_plaquette_gate=True)
-        group = next(g for g in circ.stage_groups if isinstance(g.gates, Eigenspaces))
-        gate = circ.gates[circ.stages[group.stages[0]].positions[0]]
-        t = np.array([0.0, 0.7, -2.3])
-        mats = Eigenspaces.build([(gate, gate.targets)] * 3, 3).matrices(t)
-        assert np.array_equal(mats[0], np.eye(81))
-        for m, theta in zip(mats[1:], t[1:]):
-            assert np.max(np.abs(m - closed_form(gate, theta))) < 1e-13
+    @pytest.mark.parametrize("name", sorted(GROUP_CIRCUITS))
+    def test_stage_unitaries_match_gate_products(self, name):
+        circ = GROUP_CIRCUITS[name]()
         theta = np.random.default_rng(41).uniform(-np.pi, np.pi, circ.num_params)
-        theta[group.slots[0]] = 0.0
-        after = group.suffixes(theta)
-        assert np.array_equal(after[0, 0], np.eye(81))
-        assert np.max(np.abs(after[0, 1] - closed_form(gate, theta[group.slots[1]]))) < 1e-13
+        for group in circ.stage_groups:
+            after = group.suffixes(theta)
+            for i, s in enumerate(group.stages):
+                err = np.max(np.abs(after[0, i] - stage_product(circ, circ.stages[s], theta)))
+                assert err < 1e-13, (name, s, err)
+
+    @pytest.mark.parametrize("name", sorted(GROUP_CIRCUITS))
+    def test_zero_slots_give_exact_identities(self, name):
+        circ = GROUP_CIRCUITS[name]()
+        for group in circ.stage_groups:
+            theta = np.random.default_rng(43).uniform(-np.pi, np.pi, circ.num_params)
+            theta[group.slots] = 0.0
+            after = group.suffixes(theta)
+            assert np.array_equal(after, np.broadcast_to(np.eye(after.shape[-1]), after.shape)), name
 
 
 def dense_tangents(circ, theta, psi0):

@@ -450,10 +450,10 @@ class TestShotNoiseIndependence:
         spectrum = eigendecompose(ham)
         pieces = hamiltonian_unitary_pieces(chain_hamiltonian(3, 1.0, 0.1))
         theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
-        route, plans = measure.hadamard_plan(circ), ShiftPlans(circ)
+        route, plans = measure.hadamard_plan(circ, pieces), ShiftPlans(circ)
         upper = np.triu_indices(circ.num_params)
         metric = np.array(
-            [measure.hadamard_eom(circ, route, theta, psi0, pieces, "imag", 1000, s)[1][upper] for s in range(100)]
+            [measure.hadamard_eom(route, theta, psi0, "imag", 1000, s)[1][upper] for s in range(100)]
         )
         gradient = np.array([shift_eom(plans, theta, psi0, spectrum, 1000, s)[2] for s in range(60)])
         assert self.largest_correlation(metric) < 0.6
@@ -523,8 +523,8 @@ class TestHadamardProgram:
         ctx, pieces, route = hadamard_route(name)
         theta = np.random.default_rng(45).uniform(-np.pi, np.pi, ctx.circuit.num_params)
         for seed in (0, 1):
-            got = measure.hadamard_eom(ctx.circuit, route, theta, ctx.psi0, pieces, kind, 1000, seed)
-            want = hadamard_eom_reference(ctx.circuit, route, theta, ctx.psi0, kind, 1000, seed)
+            got = measure.hadamard_eom(route, theta, ctx.psi0, kind, 1000, seed)
+            want = hadamard_eom_reference(route, theta, ctx.psi0, kind, 1000, seed)
             assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), seed
 
     @pytest.mark.parametrize("name", ["chain-L3-N2", "plaquette-N1"])
@@ -532,8 +532,8 @@ class TestHadamardProgram:
         ctx, pieces, route = hadamard_route(name)
         theta = np.random.default_rng(46).uniform(-np.pi, np.pi, ctx.circuit.num_params)
         for kind in ("imag", "real"):
-            _, m, v = measure.hadamard_eom(ctx.circuit, route, theta, ctx.psi0, pieces, kind)
-            _, m_ref, v_ref = hadamard_eom_reference(ctx.circuit, route, theta, ctx.psi0, kind)
+            _, m, v = measure.hadamard_eom(route, theta, ctx.psi0, kind)
+            _, m_ref, v_ref = hadamard_eom_reference(route, theta, ctx.psi0, kind)
             exact = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
             assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref), kind
             assert np.max(np.abs(m - exact.m)) < 1e-12 and np.max(np.abs(v - exact.v)) < 1e-12, kind
@@ -556,8 +556,8 @@ class TestHadamardProgram:
         ctx, pieces, route = hadamard_route("chain-L3-N1")
         circ = ctx.circuit
         theta = np.random.default_rng(47).uniform(-np.pi, np.pi, circ.num_params)
-        _, m, vi = measure.hadamard_eom(circ, route, theta, ctx.psi0, pieces, "imag")
-        vr = measure.hadamard_eom(circ, route, theta, ctx.psi0, pieces, "real")[2]
+        _, m, vi = measure.hadamard_eom(route, theta, ctx.psi0, "imag")
+        vr = measure.hadamard_eom(route, theta, ctx.psi0, "real")[2]
         # with the same pieces the element reads the same word matrix
         for mu, nu in [(0, 0), (2, 5), (5, 2), (7, 7)]:
             assert element_from_hadamard("M", circ, theta, mu, nu, pieces, ctx.psi0) == m[mu, nu], (mu, nu)

@@ -1,10 +1,11 @@
 """Metric/vector computation, flow solving, and the evolution drivers."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quditgauge.ansatz import Circuit, Gate, chain_circuit, plaquette_circuit
+from quditgauge.ansatz import Circuit, Gate, _rotation_generator, chain_circuit, plaquette_circuit
 from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig, parse_config
 from quditgauge.core import LocalOperator, basis_state, embedded_pauli
 from quditgauge.model import chain_hamiltonian, materialize
@@ -21,7 +22,7 @@ from quditgauge.varsim import (
     solve_flow,
 )
 
-from helpers import kron_lift, random_state
+from helpers import kron_lift, random_hermitian, random_state
 
 
 def vacuum(n):
@@ -335,7 +336,7 @@ def end_frame_metric(circ, theta, psi0):
 
 
 class TestFactorSolve:
-    """With more parameters than real directions (P > 2D), the flow is solved on the 2D side."""
+    """exact_eom returns the metric's factor F; with P > 2D the flow is solved on the 2D side."""
 
     @pytest.mark.parametrize("seed", [None, 61], ids=["theta-zero", "seeded-theta"])
     def test_plaquette_matches_metric_solve(self, seed):
@@ -346,7 +347,7 @@ class TestFactorSolve:
         eom = exact_eom(circ, theta, ctx.spectrum, psi0, "real")
         assert eom.factor.shape == (circ.num_params, 2 * psi0.dim)
         assert np.max(np.abs(eom.factor @ eom.target - eom.v)) < 1e-12
-        dot, info = solve_flow(eom.factor, 0.5 * eom.target)
+        dot, info = solve_flow(eom.factor, 0.5 * eom.target, factor=True)
         want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), 0.5 * eom.v)
         assert info.rank == want_info.rank
         if seed is None:
@@ -364,33 +365,48 @@ class TestFactorSolve:
             eom = exact_eom(circ, theta, ham, psi0, kind)
             assert np.max(np.abs(eom.factor @ eom.factor.T - end_frame_metric(circ, theta, psi0))) < 1e-12
             assert np.max(np.abs(eom.factor @ eom.target - eom.v)) < 1e-12, kind
-            dot, info = solve_flow(eom.factor, sign * eom.target)
+            dot, info = solve_flow(eom.factor, sign * eom.target, factor=True)
             want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), sign * eom.v)
             assert info.rank == want_info.rank, kind
             assert np.max(np.abs(dot - want)) < 1e-8 * np.max(np.abs(want)), kind
             assert info.retained_cond == pytest.approx(want_info.retained_cond, rel=1e-6), kind
 
     def test_at_most_2d_parameters_keep_the_metric_solve(self):
-        # the metric path's arithmetic, written out: the flow is bit for bit this
+        # P <= 2D: the solve forms M = F F^T and v = F r and inverts the P x P metric
         circ = chain_circuit(3, 2, "real")
         psi0 = vacuum(3)
         assert circ.num_params <= 2 * psi0.dim
         ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
         theta = np.random.default_rng(71).uniform(-1, 1, circ.num_params)
         eom = exact_eom(circ, theta, ham, psi0, "real")
-        assert eom.factor is None
-        _, tang, ref = circ.tangents(theta, psi0, circ.tangent_plan.middle, ham)
-        bra = tang.conj().T
-        ip = (bra @ ref.T).T[0]
-        m = (bra @ tang).real - (ip[:, None] * ip.conj()[None, :]).real
-        m = (m + m.T) / 2.0
-        assert np.array_equal(eom.m, m)
-        w, q = np.linalg.eigh((m + m.T) / 2.0)
-        keep = (w > 0.0) & (w >= 1e-8 * w[-1])
-        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        want = q @ (inv * (q.T @ (0.5 * eom.v)))
-        _, dot, _ = _checked_flow(lambda th, kind: eom, theta, "real", 0.5, EvolutionConfig(mode="vrte"), 0)
-        assert np.array_equal(dot, want)
+        assert eom.factor.shape == (circ.num_params, 2 * psi0.dim)
+        want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), 0.5 * eom.v)
+        _, dot, info = _checked_flow(lambda th, kind: eom, theta, "real", 0.5, EvolutionConfig(mode="vrte"), 0)
+        assert info.rank == want_info.rank
+        assert np.max(np.abs(dot - want)) < 1e-8 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["imag", "real"])
+    def test_square_factor_at_2d_parameters(self, kind):
+        # one qutrit and six slots: P = 2D, so F is square and only the caller
+        # can say that it is a factor and not a metric
+        gates = tuple(
+            Gate("rotation", (0,), 2 * k + a, _rotation_generator(3, i, j, phi, 0), (i, j), phi)
+            for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)))
+            for a, phi in enumerate((0.0, np.pi / 2))
+        )
+        circ = Circuit(gates, 6, 1, 3, 1, "toy")
+        rng = np.random.default_rng(73)
+        psi0 = basis_state(1, 3, [0]).__class__(1, 3, random_state(3, rng))
+        ham = random_hermitian(3, rng)
+        theta = rng.uniform(-1, 1, 6)
+        eom = exact_eom(circ, theta, ham, psi0, kind)
+        assert eom.factor.shape == (6, 6)
+        sign = -0.5 if kind == "imag" else 0.5
+        ev = EvolutionConfig(mode="vite" if kind == "imag" else "vrte")
+        _, dot, info = _checked_flow(lambda th, k: eom, theta, kind, sign, ev, 0)
+        want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), sign * eom.v)
+        assert info.rank == want_info.rank == 4  # 2D less the norm and the global phase
+        assert np.max(np.abs(dot - want)) < 1e-8 * np.max(np.abs(want))
 
     def test_metric_formed_only_when_read(self):
         circ = chain_circuit(3, 4, "real")
@@ -447,6 +463,26 @@ def small_vite_config(**kw):
 
 
 class TestGroundSearch:
+    def test_step_releases_its_eom_before_the_next(self):
+        # each EOM holds its factor, the P x D tangent bundle; a step that kept
+        # its EOM through the next sweep would hold two (4.1 bundles at peak)
+        cfg = RunConfig(
+            model=ModelConfig(dimension=1, num_links=7, g=1.0, mass=0.1),
+            ansatz=AnsatzConfig(family="chain", layers=3, init_seed=1),
+            evolution=EvolutionConfig(mode="vite", dt=0.05, steps=4, integrator="euler"),
+        )
+        ctx = RunContext.from_config(cfg)
+        run_ground_search(dataclasses.replace(cfg, evolution=dataclasses.replace(cfg.evolution, steps=1)), ctx)
+        tracemalloc.start()
+        try:
+            recs, _ = run_ground_search(cfg, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == 5
+        bundle = ctx.circuit.num_params * ctx.psi0.dim * 16
+        assert peak < 3.5 * bundle, peak / bundle
+
     def test_energy_monotone(self):
         recs, _ = run_ground_search(small_vite_config())
         energies = np.array([r.energy for r in recs])
@@ -531,17 +567,27 @@ class TestGroundSearch:
 class TestNonFiniteFlow:
     @pytest.mark.parametrize("field", ["m", "v"])
     def test_non_finite_eom_names_the_step(self, field):
-        circ = chain_circuit(3, 1, "imag")
+        # the Hadamard route returns M itself (exact_eom returns its factor)
+        cfg = parse_config(
+            {
+                "model": {"dimension": 1, "num_links": 3},
+                "ansatz": {"family": "chain", "layers": 1},
+                "estimator": {"mode": "hadamard"},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        route = make_estimator(cfg.estimator, ctx)
 
         def est(theta, kind):
-            eom = exact_eom(circ, theta, None, vacuum(3), kind)
+            eom = route(theta, kind)
+            assert eom.factor is None
             bad = getattr(eom, field).copy()
             bad.flat[0] = np.nan
             return dataclasses.replace(eom, **{field: bad})
 
         ev = EvolutionConfig(mode="vite")
         with pytest.raises(RuntimeError, match="step 4: non-finite"):
-            _checked_flow(est, np.zeros(circ.num_params), "imag", -0.5, ev, 4)
+            _checked_flow(est, np.zeros(ctx.circuit.num_params), "imag", -0.5, ev, 4)
 
     def test_non_finite_factor_names_the_step(self):
         circ = chain_circuit(3, 4, "real")
