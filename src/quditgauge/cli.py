@@ -36,9 +36,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]], cfg_hash:
             fh.write(",".join(_fmt(x, precision) for x in row) + "\n")
 
 
-def _write_json(path: Path, payload: dict):
+def _write_json(path: Path, payload: dict, cfg_hash: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump({"version": __version__, "config_hash": cfg_hash, **payload}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -48,90 +48,32 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     return path
 
 
-def _site_headers(count: int, prefix: str = "n") -> list[str]:
-    return [f"{prefix}_{s}" for s in range(count)]
+def _write_run(cfg: RunConfig, out: Path, records: list[varsim.TrajectoryRecord], time_name: str, extra: dict):
+    """``trajectory.csv``, one row per record, and ``final.json`` from the last record plus ``extra``."""
+    cfg_hash = config_hash(cfg)
+    header = ["step", time_name, *records[0].columns]
+    rows = [[rec.step, rec.time, *rec.columns.values()] for rec in records]
+    _write_csv(out / "trajectory.csv", header, rows, cfg_hash, cfg.output.precision)
+    final = records[-1]
+    summary = {name: final.columns[name] for name in ("energy", "fidelity", "entropy")}
+    payload = {"steps_run": final.step, time_name: final.time, **summary, "theta": [float(x) for x in final.theta]}
+    _write_json(out / "final.json", {**payload, **extra}, cfg_hash)
 
 
 def cmd_ground(cfg: RunConfig, out_override: str | None) -> int:
     if cfg.evolution.mode != "vite":
         raise ConfigError("the ground command requires evolution.mode = 'vite'")
     records, ctx = varsim.run_ground_search(cfg)
-    cfg_hash = config_hash(cfg)
-    out = _out_dir(cfg, out_override)
-    nsites = records[0].site_numbers.size
-    header = ["step", "tau", "energy", "fidelity", "entropy"] + _site_headers(nsites) + [
-        "grad_norm",
-        "m_cond",
-    ]
-    rows = [
-        [r.step, r.time, r.energy, r.fidelity, r.entropy, *r.site_numbers, r.grad_norm, r.m_cond]
-        for r in records
-    ]
-    _write_csv(out / "trajectory.csv", header, rows, cfg_hash, cfg.output.precision)
-    final = records[-1]
-    _write_json(
-        out / "final.json",
-        {
-            "version": __version__,
-            "config_hash": cfg_hash,
-            "steps_run": final.step,
-            "tau": final.time,
-            "energy": final.energy,
-            "fidelity": final.fidelity,
-            "entropy": final.entropy,
-            "grad_norm": final.grad_norm,
-            "ground_energy": ctx.spectrum.ground_energy,
-            "theta": [float(x) for x in final.theta],
-        },
-    )
+    extra = {"grad_norm": records[-1].columns["grad_norm"], "ground_energy": ctx.spectrum.ground_energy}
+    _write_run(cfg, _out_dir(cfg, out_override), records, "tau", extra)
     return 0
 
 
 def cmd_quench(cfg: RunConfig, out_override: str | None) -> int:
     if cfg.evolution.mode != "vrte":
         raise ConfigError("the quench command requires evolution.mode = 'vrte'")
-    records, exact_rows, ctx = varsim.run_quench(cfg)
-    cfg_hash = config_hash(cfg)
-    out = _out_dir(cfg, out_override)
-    nsites = records[0].site_numbers.size
-    header = (
-        ["step", "t", "energy", "fidelity", "entropy"]
-        + _site_headers(nsites)
-        + _site_headers(nsites, "exact_n")
-        + ["exact_entropy", "grad_norm", "m_cond"]
-    )
-    rows = []
-    for rec, ex in zip(records, exact_rows):
-        rows.append(
-            [
-                rec.step,
-                rec.time,
-                rec.energy,
-                rec.fidelity,
-                rec.entropy,
-                *rec.site_numbers,
-                *ex["numbers"],
-                ex["entropy"],
-                rec.grad_norm,
-                rec.m_cond,
-            ]
-        )
-    _write_csv(out / "trajectory.csv", header, rows, cfg_hash, cfg.output.precision)
-    final = records[-1]
-    _write_json(
-        out / "final.json",
-        {
-            "version": __version__,
-            "config_hash": cfg_hash,
-            "steps_run": final.step,
-            "t": final.time,
-            "energy": final.energy,
-            "fidelity": final.fidelity,
-            "entropy": final.entropy,
-            "designated_site": varsim.designated_site(cfg),
-            "theta": [float(x) for x in final.theta],
-        },
-    )
+    records, _ = varsim.run_quench(cfg)
+    _write_run(cfg, _out_dir(cfg, out_override), records, "t", {"designated_site": varsim.designated_site(cfg)})
     return 0
 
 
@@ -143,23 +85,19 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
     _write_json(
         out / "spectrum.json",
         {
-            "version": __version__,
-            "config_hash": cfg_hash,
             "dimension": int(spec.eigenvalues.size),
             "ground_energy": spec.ground_energy,
             "ground_multiplicity": spec.ground_multiplicity(),
             "lowest_eigenvalues": [float(w) for w in spec.eigenvalues[:10]],
         },
+        cfg_hash,
     )
     ev = cfg.evolution
-    nsites = ctx.n_diags.shape[0]
-    header = ["step", "t", "energy"] + _site_headers(nsites) + ["entropy"]
-    rows = []
     energy0 = float(np.vdot(ctx.psi0.amplitudes, ctx.spectrum @ ctx.psi0.amplitudes).real)
-    for k in range(ev.steps + 1):
-        _, row = varsim.exact_row(ctx, k, k * ev.dt)
-        rows.append([k, row["time"], energy0, *row["numbers"], row["entropy"]])
-    _write_csv(out / "exact.csv", header, rows, cfg_hash, cfg.output.precision)
+    rows = [{"energy": energy0, **varsim.exact_row(ctx, k, k * ev.dt)[1]} for k in range(ev.steps + 1)]
+    header = ["step", "t", *rows[0]]
+    values = [[k, k * ev.dt, *row.values()] for k, row in enumerate(rows)]
+    _write_csv(out / "exact.csv", header, values, cfg_hash, cfg.output.precision)
     return 0
 
 
@@ -214,13 +152,12 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     _write_json(
         out / "measure_summary.json",
         {
-            "version": __version__,
-            "config_hash": cfg_hash,
             "max_abs_dev_shift": float(np.nanmax(np.abs(rows[:, 4] - rows[:, 3]))),
             "max_abs_dev_hadamard": float(np.max(np.abs(rows[:, 5] - rows[:, 3]))),
             "shots": shots,
             "kinds": {"0": "M", "1": "VI", "2": "VR"},
         },
+        cfg_hash,
     )
     return 0
 

@@ -9,6 +9,7 @@ metric normalized as the real part of the quantum geometric tensor:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,36 +24,27 @@ from .core import QuditRegister, basis_state, check_hermitian, entanglement_entr
 from .model import DIM_CAP, CapError, HamiltonianSpec
 
 
-class _Metric:
-    """``EomQuantities.m``: the metric as stored, or formed as F F^T from ``factor`` on first read."""
-
-    def __get__(self, eom, owner=None):
-        if eom is None:
-            raise AttributeError("m")  # the field has no default
-        if eom.__dict__["_m"] is None:
-            eom.__dict__["_m"] = eom.factor @ eom.factor.T
-        return eom.__dict__["_m"]
-
-    def __set__(self, eom, m):
-        eom.__dict__["_m"] = m
-
-
 @dataclass(frozen=True)
 class EomQuantities:
     """Metric and flow vector at theta, with the state and its energy <psi|H|psi>.
 
     ``factor`` is None, or F (P x n) such that M = F F^T, and ``target`` is
     then r (n entries) with F r = v.  ``exact_eom`` always returns the
-    factor, with ``m`` given as None and formed from F when first read;
-    the estimator routes return M itself.
+    factor, with ``metric`` None; the estimator routes return M itself as
+    ``metric``.  ``m`` reads the metric either way.
     """
 
-    m: np.ndarray | None = _Metric()  # no default: the descriptor raises on class access
+    metric: np.ndarray | None
     v: np.ndarray
     psi: QuditRegister
     energy: float
     factor: np.ndarray | None = None
     target: np.ndarray | None = None
+
+    @functools.cached_property
+    def m(self) -> np.ndarray:
+        """M: ``metric``, or F F^T formed from ``factor`` on first read."""
+        return self.factor @ self.factor.T if self.metric is None else self.metric
 
 
 @dataclass(frozen=True)
@@ -75,15 +67,12 @@ class SolveInfo:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """One step of a run: its parameters and its output columns after step and time, in file order."""
+
     step: int
     time: float
     theta: np.ndarray
-    energy: float
-    fidelity: float
-    entropy: float
-    site_numbers: np.ndarray
-    grad_norm: float
-    m_cond: float
+    columns: dict[str, float]
 
 
 def exact_eom(
@@ -248,14 +237,20 @@ class RunContext:
         return cls(ham_spec, spectrum, circuit, psi0, n_diags, entropy_cut(cfg))
 
 
-def exact_row(ctx: RunContext, step: int, t: float) -> tuple[np.ndarray, dict]:
-    """The exact state at time t and its reference row: time, site numbers, entanglement entropy."""
+def _state_columns(ctx: RunContext, state: QuditRegister, prefix: str = "") -> dict[str, float]:
+    """The site numbers ``n_0``, ``n_1``, ... and the ``entropy`` of ``state``, each name after ``prefix``."""
+    numbers = ctx.n_diags @ (np.abs(state.amplitudes) ** 2)
+    columns = {f"{prefix}n_{s}": x for s, x in enumerate(numbers)}
+    columns[f"{prefix}entropy"] = entanglement_entropy(state, ctx.cut)
+    return columns
+
+
+def exact_row(ctx: RunContext, step: int, t: float, prefix: str = "") -> tuple[np.ndarray, dict[str, float]]:
+    """The exact state at time t and its site numbers and entanglement entropy, named after ``prefix``."""
     ref = oracle.evolve_real(ctx.spectrum, ctx.psi0.amplitudes, t)
     if not np.all(np.isfinite(ref)):
         raise RuntimeError(f"step {step}: non-finite exact state at t = {t:g}")
-    ref_state = QuditRegister(ctx.psi0.num_qudits, ctx.psi0.local_dim, ref)
-    numbers = ctx.n_diags @ (np.abs(ref) ** 2)
-    return ref, {"time": t, "numbers": numbers, "entropy": entanglement_entropy(ref_state, ctx.cut)}
+    return ref, _state_columns(ctx, QuditRegister(ctx.psi0.num_qudits, ctx.psi0.local_dim, ref), prefix)
 
 
 def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
@@ -308,30 +303,37 @@ def snapshot(
     time: float,
     reference: np.ndarray | None,
     eom: EomQuantities,
-    cond: float,
+    info: SolveInfo,
+    exact: dict[str, float] | None = None,
 ) -> TrajectoryRecord:
     """One trajectory row from the state and energy the step's EOM already holds.
 
     Fidelity is against ``reference``, or against the whole ground space
-    when ``reference`` is None.  A non-finite value in the row is a
-    numerical failure of ``step``, named by its trajectory column.
+    when ``reference`` is None.  ``exact`` holds the exact state's columns,
+    written after the variational site numbers.  A non-finite value in the
+    row is a numerical failure of ``step``, named by its trajectory column.
     """
     amp = eom.psi.amplitudes
     if reference is None:
         fid = ctx.spectrum.ground_projector_overlap(amp)
     else:
         fid = float(min(abs(np.vdot(reference, amp)) ** 2, 1.0 + 1e-10))
-    ent = entanglement_entropy(eom.psi, ctx.cut)
-    probs = np.abs(amp) ** 2
-    numbers = ctx.n_diags @ probs
+    own = _state_columns(ctx, eom.psi)
     with np.errstate(over="ignore"):  # a norm past the float range is reported below
         grad_norm = float(np.linalg.norm(eom.v))
-    columns = [("energy", eom.energy), ("fidelity", fid), ("entropy", ent)]
-    columns += [(f"n_{s}", x) for s, x in enumerate(numbers)] + [("grad_norm", grad_norm), ("m_cond", cond)]
-    for name, value in columns:
+    columns = {
+        "energy": eom.energy,
+        "fidelity": fid,
+        "entropy": own.pop("entropy"),
+        **own,
+        **(exact or {}),
+        "grad_norm": grad_norm,
+        "m_cond": info.retained_cond,
+    }
+    for name, value in columns.items():
         if not np.isfinite(value):
             raise RuntimeError(f"step {step}: non-finite {name}")
-    return TrajectoryRecord(step, time, theta.copy(), eom.energy, fid, ent, numbers, grad_norm, cond)
+    return TrajectoryRecord(step, time, theta.copy(), columns)
 
 
 _MAX_HALVINGS = 40
@@ -374,17 +376,17 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     tau = 0.0
     for k in range(ev.steps + 1):
         eom, dot, info = _checked_flow(est, theta, "imag", -0.5, ev, k)
-        rec = snapshot(ctx, theta, k, tau, reference, eom, info.retained_cond)
+        rec = snapshot(ctx, theta, k, tau, reference, eom, info)
         del eom  # a held EOM would keep its tangent bundle alive through the next sweep
         records.append(rec)
-        if k == ev.steps or rec.grad_norm < ev.grad_tolerance:
+        if k == ev.steps or rec.columns["grad_norm"] < ev.grad_tolerance:
             break
         # The continuous flow can only lower the energy, so a candidate step
         # that raises it has overshot: halve the step until it descends.
         dt = ev.dt
         for _ in range(_MAX_HALVINGS):
             candidate = integrate_step(theta, deriv, dt, ev.integrator, k1=dot)
-            if energy_of(candidate) <= rec.energy + 1e-9:
+            if energy_of(candidate) <= rec.columns["energy"] + 1e-9:
                 break
             dt /= 2.0
         else:
@@ -397,7 +399,7 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
 
 
 def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
-    """Real-time flow from theta = 0; returns records plus the exact reference series."""
+    """Real-time flow from theta = 0; each record carries the exact state's columns as ``exact_*``."""
     if cfg.evolution.mode != "vrte":
         raise ValueError("quench runs in vrte mode")
     ctx = ctx or RunContext.from_config(cfg)
@@ -409,18 +411,16 @@ def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
         return _checked_flow(est, th, "real", 0.5, ev, k)[1]
 
     records: list[TrajectoryRecord] = []
-    exact_rows: list[dict] = []
     for k in range(ev.steps + 1):
         t = k * ev.dt
-        ref, row = exact_row(ctx, k, t)
+        ref, exact = exact_row(ctx, k, t, "exact_")
         eom, dot, info = _checked_flow(est, theta, "real", 0.5, ev, k)
-        records.append(snapshot(ctx, theta, k, t, ref, eom, info.retained_cond))
+        records.append(snapshot(ctx, theta, k, t, ref, eom, info, exact))
         del eom  # a held EOM would keep its tangent bundle alive through the next sweep
-        exact_rows.append(row)
         if k == ev.steps:
             break
         theta = integrate_step(theta, deriv, ev.dt, ev.integrator, k1=dot)
-    return records, exact_rows, ctx
+    return records, ctx
 
 
 def oscillation_period(times: Sequence[float], values: Sequence[float]) -> float:

@@ -89,8 +89,8 @@ def quench_run(dimension, links, layers, steps, plaq_gate=False):
         cfg = quench_cfg(dimension, links, layers, steps, plaq_gate)
         ctx = shared_context(("ctx", dimension, links), cfg)
         ctx = dataclasses.replace(ctx, circuit=build_circuit(cfg))
-        records, exact_rows, _ = run_quench(cfg, ctx)
-        _CACHE[key] = (records, exact_rows, ctx)
+        records, _ = run_quench(cfg, ctx)
+        _CACHE[key] = (records, ctx)
     return _CACHE[key]
 
 
@@ -100,8 +100,8 @@ class TestCriterion1GroundChain:
         for layers, seed in ((3, 1), (2, 3), (1, 1)):
             records, ctx = ground_run(1, 7, layers, seed)
             final = records[-1]
-            rel = abs(final.energy - ctx.spectrum.ground_energy) / abs(ctx.spectrum.ground_energy)
-            results[layers] = (final.fidelity, rel)
+            rel = abs(final.columns["energy"] - ctx.spectrum.ground_energy) / abs(ctx.spectrum.ground_energy)
+            results[layers] = (final.columns["fidelity"], rel)
         ok = (
             results[3][0] >= 0.99
             and results[2][0] >= 0.98
@@ -123,8 +123,8 @@ class TestCriterion2GroundPlaquette:
         for layers, seed in ((3, 10), (1, 1)):
             records, ctx = ground_run(2, 4, layers, seed)
             final = records[-1]
-            rel = abs(final.energy - ctx.spectrum.ground_energy) / abs(ctx.spectrum.ground_energy)
-            results[layers] = (final.fidelity, rel)
+            rel = abs(final.columns["energy"] - ctx.spectrum.ground_energy) / abs(ctx.spectrum.ground_energy)
+            results[layers] = (final.columns["fidelity"], rel)
         ok = (
             results[3][0] >= 0.99
             and 0.80 <= results[1][0] <= 0.97
@@ -140,19 +140,19 @@ class TestCriterion2GroundPlaquette:
 
 class TestCriterion3QuenchChain:
     def test_five_links(self):
-        records, exact_rows, ctx = quench_run(1, 5, 4, 1200)
+        records, ctx = quench_run(1, 5, 4, 1200)
         site = 3  # middle site of the six-site chain
         ts = np.array([r.time for r in records])
-        n_exact = np.array([row["numbers"][site] for row in exact_rows])
+        n_exact = np.array([r.columns[f"exact_n_{site}"] for r in records])
         period = oscillation_period(ts, n_exact)
         window = ts <= 2 * period + 1e-9
-        fids = np.array([r.fidelity for r in records])
+        fids = np.array([r.columns["fidelity"] for r in records])
         min_fid = fids[window].min()
 
         # qualitative agreement at N=3: same extrema count, phase within T/4
-        records3, exact3, _ = quench_run(1, 5, 3, 1200)
-        n_var3 = np.array([r.site_numbers[site] for r in records3])
-        n_ex3 = np.array([row["numbers"][site] for row in exact3])
+        records3, _ = quench_run(1, 5, 3, 1200)
+        n_var3 = np.array([r.columns[f"n_{site}"] for r in records3])
+        n_ex3 = np.array([r.columns[f"exact_n_{site}"] for r in records3])
         t3 = np.array([r.time for r in records3])
         win3 = t3 <= 2 * period + 1e-9
 
@@ -188,10 +188,10 @@ class TestCriterion4QuenchPlaquette:
     LAYERS = 5
 
     def test_four_body_gate(self):
-        records, exact_rows, ctx = quench_run(2, 4, self.LAYERS, 800, plaq_gate=True)
-        fids = np.array([r.fidelity for r in records])
-        n_var = np.array([r.site_numbers[0] for r in records])
-        n_ex = np.array([row["numbers"][0] for row in exact_rows])
+        records, ctx = quench_run(2, 4, self.LAYERS, 800, plaq_gate=True)
+        fids = np.array([r.columns["fidelity"] for r in records])
+        n_var = np.array([r.columns["n_0"] for r in records])
+        n_ex = np.array([r.columns["exact_n_0"] for r in records])
         dev = np.max(np.abs(n_var - n_ex))
         ok = fids.min() >= 0.8 and dev < 0.1
         _report(
@@ -204,9 +204,9 @@ class TestCriterion4QuenchPlaquette:
 
 class TestCriterion5Entropy:
     def test_exact_growth_then_saturation(self):
-        _, exact_rows, _ = quench_run(1, 5, 4, 1200)
-        s = np.array([row["entropy"] for row in exact_rows])
-        t = np.array([row["time"] for row in exact_rows])
+        records, _ = quench_run(1, 5, 4, 1200)
+        s = np.array([r.columns["exact_entropy"] for r in records])
+        t = np.array([r.time for r in records])
         smax = s.max()
         t_first_80 = t[np.argmax(s >= 0.8 * smax)]
         late = s[t > t_first_80]
@@ -221,12 +221,12 @@ class TestCriterion5Entropy:
         )
 
     def test_variational_entropy_improves_with_depth(self):
-        _, exact_rows, _ = quench_run(1, 5, 4, 1200)
-        s_ex = np.array([row["entropy"] for row in exact_rows])
+        records, _ = quench_run(1, 5, 4, 1200)
+        s_ex = np.array([r.columns["exact_entropy"] for r in records])
         devs = {}
         for layers in (2, 3, 4):
-            records, _, _ = quench_run(1, 5, layers, 1200)
-            s_var = np.array([r.entropy for r in records])
+            records, _ = quench_run(1, 5, layers, 1200)
+            s_var = np.array([r.columns["entropy"] for r in records])
             devs[layers] = float(np.mean(np.abs(s_var - s_ex)))
         ok = devs[2] > devs[3] > devs[4]
         _report(
@@ -349,7 +349,7 @@ class TestCriterion8Monotonicity:
                 evolution=EvolutionConfig(mode="vite", dt=0.02, steps=300),
             )
             records, _ = run_ground_search(cfg)
-            energy = np.array([r.energy for r in records])
+            energy = np.array([r.columns["energy"] for r in records])
             worst = max(worst, float(np.max(np.diff(energy))) if len(energy) > 1 else -np.inf)
         ok = worst < 1e-8
         _report(8, ok, f"largest per-step energy increase {worst:.2e} (dt = 0.02)")

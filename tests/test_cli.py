@@ -31,6 +31,8 @@ SMALL_GROUND = {
     "evolution": {"mode": "vite", "dt": 0.05, "steps": 120},
 }
 
+SITES = ["n_0", "n_1", "n_2", "n_3"]  # the L=3 chain's four sites
+
 SMALL_QUENCH = {
     "model": {"dimension": 1, "num_links": 3},
     "ansatz": {"family": "chain", "layers": 2},
@@ -105,9 +107,7 @@ class TestGroundCommand:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("# quditgauge ")
         header = lines[1].split(",")
-        assert header[:5] == ["step", "tau", "energy", "fidelity", "entropy"]
-        assert "n_0" in header and "n_3" in header
-        assert header[-2:] == ["grad_norm", "m_cond"]
+        assert header == ["step", "tau", "energy", "fidelity", "entropy", *SITES, "grad_norm", "m_cond"]
         row = lines[2].split(",")
         # 17 significant digits round-trip exactly
         for field in row:
@@ -115,7 +115,10 @@ class TestGroundCommand:
             assert float(format(val, ".17g")) == val
         final = json.loads((out / "final.json").read_text())
         assert final["config_hash"] == config_hash(parse_config(SMALL_GROUND))
-        assert "version" in final
+        assert sorted(final) == [
+            "config_hash", "energy", "entropy", "fidelity", "grad_norm", "ground_energy", "steps_run", "tau", "theta",
+            "version",
+        ]
 
     def test_seed_override_changes_run(self, tmp_path):
         cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
@@ -134,7 +137,12 @@ class TestQuenchCommand:
         assert main(["quench", "--config", str(cfg_path), "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_text().splitlines()
         header = lines[1].split(",")
-        assert "exact_n_0" in header and "exact_entropy" in header
+        exact = [f"exact_{name}" for name in SITES] + ["exact_entropy"]
+        assert header == ["step", "t", "energy", "fidelity", "entropy", *SITES, *exact, "grad_norm", "m_cond"]
+        final = json.loads((out / "final.json").read_text())
+        assert sorted(final) == [
+            "config_hash", "designated_site", "energy", "entropy", "fidelity", "steps_run", "t", "theta", "version",
+        ]
         first = dict(zip(header, lines[2].split(",")))
         assert float(first["t"]) == 0.0
         assert float(first["fidelity"]) == pytest.approx(1.0, abs=1e-12)
@@ -264,6 +272,9 @@ class TestExactCommand:
         from quditgauge.fixtures import fixture_value
         # L=3 has no committed fixture; the ground energy is still embedded
         assert spec["ground_energy"] == pytest.approx(-0.26032778079, abs=1e-9)
+        header, rows = read_csv(out / "exact.csv")
+        assert header == ["step", "t", "energy", *SITES, "entropy"]
+        assert rows.shape == (21, len(header))
 
     def test_series_stable_under_dt_halving(self, tmp_path):
         rows = {}

@@ -5,11 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditgauge.ansatz import Circuit, Gate, _rotation_generator, chain_circuit, plaquette_circuit
+from quditgauge.ansatz import (
+    Circuit,
+    Gate,
+    _rotation_generator,
+    chain_circuit,
+    plaquette_circuit,
+    random_initial_params,
+)
 from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig, parse_config
 from quditgauge.core import LocalOperator, basis_state, embedded_pauli
 from quditgauge.model import chain_hamiltonian, materialize
-from quditgauge.oracle import Spectrum, finite_difference
+from quditgauge.oracle import Spectrum, evolve_real, finite_difference
 from quditgauge.varsim import (
     RunContext,
     _checked_flow,
@@ -411,7 +418,7 @@ class TestFactorSolve:
     def test_metric_formed_only_when_read(self):
         circ = chain_circuit(3, 4, "real")
         eom = exact_eom(circ, np.zeros(circ.num_params), None, vacuum(3), "imag")
-        assert eom.__dict__["_m"] is None
+        assert eom.metric is None and "m" not in eom.__dict__
         m = eom.m
         assert m.shape == (circ.num_params, circ.num_params) and eom.m is m
 
@@ -485,21 +492,21 @@ class TestGroundSearch:
 
     def test_energy_monotone(self):
         recs, _ = run_ground_search(small_vite_config())
-        energies = np.array([r.energy for r in recs])
+        energies = np.array([r.columns["energy"] for r in recs])
         assert np.all(np.diff(energies) < 1e-8)
 
     def test_small_chain_converges(self):
         cfg = small_vite_config()
         recs, ctx = run_ground_search(cfg)
-        assert recs[-1].fidelity > 0.99
-        assert abs(recs[-1].energy - ctx.spectrum.ground_energy) < 0.01
+        assert recs[-1].columns["fidelity"] > 0.99
+        assert abs(recs[-1].columns["energy"] - ctx.spectrum.ground_energy) < 0.01
 
     def test_records_well_formed(self):
         recs, _ = run_ground_search(small_vite_config(evolution=EvolutionConfig(mode="vite", dt=0.05, steps=20)))
         for r in recs:
-            assert 0.0 <= r.fidelity <= 1.0 + 1e-10
-            assert r.site_numbers.shape == (4,)
-            assert np.isfinite(r.energy)
+            assert 0.0 <= r.columns["fidelity"] <= 1.0 + 1e-10
+            assert [name for name in r.columns if name.startswith("n_")] == ["n_0", "n_1", "n_2", "n_3"]
+            assert np.isfinite(r.columns["energy"])
 
     @staticmethod
     def _check_degenerate_ground(second_level):
@@ -530,7 +537,7 @@ class TestGroundSearch:
         ground_space = np.stack(vectors, axis=1)
         for r in recs:
             amp = ctx.circuit.state(r.theta, ctx.psi0).amplitudes
-            assert r.fidelity == pytest.approx(np.sum(np.abs(ground_space.conj().T @ amp) ** 2), abs=1e-12)
+            assert r.columns["fidelity"] == pytest.approx(np.sum(np.abs(ground_space.conj().T @ amp) ** 2), abs=1e-12)
 
     def test_degenerate_ground_fidelity_is_ground_space_weight(self):
         # the ground block's second level joins the ground space
@@ -565,7 +572,7 @@ class TestGroundSearch:
 
 
 class TestNonFiniteFlow:
-    @pytest.mark.parametrize("field", ["m", "v"])
+    @pytest.mark.parametrize("field", ["metric", "v"], ids=["m", "v"])
     def test_non_finite_eom_names_the_step(self, field):
         # the Hadamard route returns M itself (exact_eom returns its factor)
         cfg = parse_config(
@@ -617,10 +624,10 @@ class TestQuench:
             ansatz=AnsatzConfig(family="chain", layers=2),
             evolution=EvolutionConfig(mode="vrte", dt=0.05, steps=5, integrator="rk4"),
         )
-        recs, exact_rows, _ = run_quench(cfg)
-        assert recs[0].fidelity == pytest.approx(1.0, abs=1e-12)
-        assert recs[0].entropy == pytest.approx(0.0, abs=1e-12)
-        assert exact_rows[0]["entropy"] == pytest.approx(0.0, abs=1e-12)
+        recs, _ = run_quench(cfg)
+        assert recs[0].columns["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert recs[0].columns["entropy"] == pytest.approx(0.0, abs=1e-12)
+        assert recs[0].columns["exact_entropy"] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("model_name", sorted(ESTIMATOR_MODELS))
     def test_cutoff_zero_from_theta_zero_stays_finite(self, model_name):
@@ -635,9 +642,9 @@ class TestQuench:
             }
         )
         with np.errstate(divide="raise", invalid="raise"):
-            recs, _, _ = run_quench(cfg)
+            recs, _ = run_quench(cfg)
         assert len(recs) == 4
-        assert all(np.all(np.isfinite(r.theta)) and np.isfinite(r.fidelity) for r in recs)
+        assert all(np.all(np.isfinite(r.theta)) and np.isfinite(r.columns["fidelity"]) for r in recs)
 
     def test_single_generator_ansatz_reproduces_exact_flow(self):
         # H equals the gate generator, so theta(t) = t is the exact solution
@@ -669,12 +676,48 @@ class TestQuench:
                 ansatz=AnsatzConfig(family="chain", layers=2),
                 evolution=EvolutionConfig(mode="vrte", dt=dt, steps=steps, integrator="euler"),
             )
-            recs, _, _ = run_quench(cfg)
-            return abs(recs[-1].energy - recs[0].energy)
+            recs, _ = run_quench(cfg)
+            return abs(recs[-1].columns["energy"] - recs[0].columns["energy"])
 
         d1 = drift(0.04, 25)
         d2 = drift(0.02, 50)
         assert d2 < 0.6 * d1  # at least first-order improvement to fixed time
+
+
+class TestCompleteAnsatzConvergence:
+    """On a complete ansatz the real-time flow is exact, so only the integrator's error is left.
+
+    The N=5 plaquette with the four-body gate spans every direction of its
+    state space at a random theta (``test_ansatz.TestPlaquetteTangentRank``).
+    From there, RK4's infidelity against exact evolution falls at its
+    order: 4.85e-4 / 7.05e-6 / 3.24e-8 at dt 0.04 / 0.02 / 0.01 to t = 0.4.
+    """
+
+    def test_real_time_rk4_converges_at_its_order(self):
+        cfg = parse_config(
+            {
+                "model": {"dimension": 2, "num_links": 4},
+                "ansatz": {"family": "plaquette", "layers": 5, "include_plaquette_gate": True},
+                "evolution": {"mode": "vrte"},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        theta0 = random_initial_params(ctx.circuit, 7, np.pi / 4)
+        want = evolve_real(ctx.spectrum, ctx.circuit.state(theta0, ctx.psi0).amplitudes, 0.4)
+
+        def deriv(theta):
+            eom = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, "real")
+            return solve_flow(eom.factor, 0.5 * eom.target, cfg.evolution.cutoff, factor=True)[0]
+
+        def infidelity(dt):
+            theta = theta0
+            for _ in range(round(0.4 / dt)):
+                theta = integrate_step(theta, deriv, dt, "rk4")
+            return 1.0 - abs(np.vdot(want, ctx.circuit.state(theta, ctx.psi0).amplitudes)) ** 2
+
+        coarse, fine = infidelity(0.02), infidelity(0.01)
+        assert fine < 1e-7, fine
+        assert coarse / fine >= 100.0, (coarse, fine)
 
 
 class TestOscillationPeriod:
