@@ -3,22 +3,15 @@
 __version__ = "0.1.0"
 
 from .core import (
-    DensityMatrix,
     LocalOperator,
     QuditRegister,
     apply,
     basis_state,
-    crot_gate,
     embedded_pauli,
     entanglement_entropy,
     fidelity,
     inner,
-    ms_gate,
-    plaquette_gate,
     reduced_density_matrix,
-    rotation_gate,
-    rz_gate,
-    sample_counts,
 )
 from .model import (
     HamiltonianSpec,
@@ -29,7 +22,6 @@ from .model import (
     fermion_number_ops,
     gauss_charge,
     gauss_projector,
-    hopping_sign,
     hopping_unitary_terms,
     link_raise_op,
     materialize,
@@ -46,5 +38,5 @@ from .varsim import (
     run_quench,
     solve_flow,
 )
-from .oracle import Spectrum, eigendecompose, evolve_imag, evolve_real, finite_difference, ground_state, sector_spectrum
+from .oracle import Spectrum, eigendecompose, evolve_real, ground_state, sector_spectrum
 from .config import RunConfig, config_hash, load_config, parse_config

@@ -98,17 +98,6 @@ class LocalOperator:
         return bool(np.max(np.abs(self.matrix @ self.matrix.conj().T - eye)) < atol)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix of a qudit subset."""
-
-    qudits: tuple[int, ...]
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
 def basis_state(num_qudits: int, local_dim: int, levels: Sequence[int]) -> QuditRegister:
     """Computational basis state with the given level on each qudit."""
     if len(levels) != num_qudits:
@@ -325,8 +314,8 @@ def fidelity(a: QuditRegister, b: QuditRegister) -> float:
     return float(abs(inner(a, b)) ** 2)
 
 
-def reduced_density_matrix(state: QuditRegister, subset: Sequence[int]) -> DensityMatrix:
-    """Trace out the complement of ``subset``."""
+def reduced_density_matrix(state: QuditRegister, subset: Sequence[int]) -> np.ndarray:
+    """The density matrix of ``subset``: trace out its complement."""
     subset = tuple(sorted(set(subset)))
     if not subset or len(subset) >= state.num_qudits:
         raise ValueError(f"subset must be nonempty and proper, got {subset}")
@@ -336,8 +325,7 @@ def reduced_density_matrix(state: QuditRegister, subset: Sequence[int]) -> Densi
     axes_a = [state.qudit_axis(q) for q in subset]
     tensor = np.moveaxis(state.tensor_view(), axes_a, range(len(subset)))
     psi = tensor.reshape(d ** len(subset), -1)
-    rho = psi @ psi.conj().T
-    return DensityMatrix(subset, rho)
+    return psi @ psi.conj().T
 
 
 def entanglement_entropy(state: QuditRegister, cut: Sequence[int]) -> float:
@@ -346,7 +334,7 @@ def entanglement_entropy(state: QuditRegister, cut: Sequence[int]) -> float:
     # Trace over the larger side; the spectrum is shared between both.
     if len(cut) > state.num_qudits - len(cut):
         cut = tuple(q for q in range(state.num_qudits) if q not in cut)
-    lam = reduced_density_matrix(state, cut).eigenvalues()
+    lam = np.linalg.eigvalsh(reduced_density_matrix(state, cut))
     lam = lam[lam > ENTROPY_EIG_FLOOR]
     return float(-np.sum(lam * np.log(lam)))
 

@@ -22,13 +22,16 @@ Three routes are provided besides exact linear algebra:
   generators and H~, all made traceless; each tangent sweep reads them off
   a whole block of snapshots, and no D x D operator is formed.
 
-Each route returns (psi, M, v) at one theta; ``varsim.make_estimator``
-picks it.  With shots set, one generator per call replaces every elementary
-probability by a binomial draw and every energy readout by sampling the
-Hamiltonian spectrum, in a fixed order.
+Each route returns its ``EomQuantities`` at one theta: the state, M, one
+flow vector and the energy <psi|H|psi>, read off values the route already
+computes; ``varsim.make_estimator`` picks the route.  With shots set, one
+generator per call replaces every elementary probability by a binomial draw
+and every energy sample of the shift route's gradient by sampling the
+Hamiltonian spectrum, in a fixed order; the reported energy stays noiseless.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,9 +44,31 @@ from .core import LocalOperator, QuditRegister, apply, inner
 from .model import unitary_split
 from .oracle import Spectrum
 
-MAX_PLAN_TRIES = 64
 RANK_COND_LIMIT = 1e8
 _SNAPSHOT_BYTES = 16 * 2**20  # one sweep block of randomized snapshots, (P + 1) D 16 B each; measured in CHANGES.md
+
+
+@dataclass(frozen=True)
+class EomQuantities:
+    """Metric and flow vector at theta, with the state and its energy <psi|H|psi>.
+
+    ``factor`` is None, or F (P x n) such that M = F F^T, and ``target`` is
+    then r (n entries) with F r = v.  ``varsim.exact_eom`` always returns
+    the factor, with ``metric`` None; the estimator routes return M itself
+    as ``metric``.  ``m`` reads the metric either way.
+    """
+
+    metric: np.ndarray | None
+    v: np.ndarray
+    psi: QuditRegister
+    energy: float
+    factor: np.ndarray | None = None
+    target: np.ndarray | None = None
+
+    @functools.cached_property
+    def m(self) -> np.ndarray:
+        """M: ``metric``, or F F^T formed from ``factor`` on first read."""
+        return self.factor @ self.factor.T if self.metric is None else self.metric
 
 
 @dataclass(frozen=True)
@@ -133,36 +158,26 @@ def _grid_plan(freqs: np.ndarray) -> ShiftPlan | None:
     return None
 
 
-def _drawn_plan(freqs: np.ndarray, seed: int) -> ShiftPlan:
-    """The plan on the first full-rank set of random points drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    gap = float(np.min(np.diff(freqs)))
-    for _ in range(MAX_PLAN_TRIES - 2):  # after the two fixed grids
-        plan = _full_rank(freqs, np.sort(rng.uniform(-np.pi, np.pi, len(freqs))) / gap)
-        if plan is not None:
-            return plan
-    raise RuntimeError(f"no full-rank shift design after {MAX_PLAN_TRIES} draws")
-
-
 class ShiftPlans:
     """Frequency set and full-rank evaluation points for each overlap function of one circuit.
 
-    ``plans(slots, seed)`` plans a slot or slot pair once.  A plan reads the
-    seed only when neither fixed grid is full rank; only those plans are
-    drawn again, from the seed of each call.
+    ``plans(slots)`` plans a slot or slot pair once, on a fixed grid.  A
+    frequency set that neither grid resolves is a numerical failure; no
+    circuit the package builds has one.
     """
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self._grid: dict[tuple[int, ...], tuple[np.ndarray, ShiftPlan | None]] = {}
+        self._plans: dict[tuple[int, ...], ShiftPlan] = {}
 
-    def __call__(self, slots: Sequence[int], seed: int = 0) -> ShiftPlan:
+    def __call__(self, slots: Sequence[int]) -> ShiftPlan:
         slots = tuple(slots)
-        if slots not in self._grid:
-            freqs = _frequencies(self.circuit, slots)
-            self._grid[slots] = (freqs, _grid_plan(freqs))
-        freqs, plan = self._grid[slots]
-        return plan if plan is not None else _drawn_plan(freqs, seed)
+        if slots not in self._plans:
+            plan = _grid_plan(_frequencies(self.circuit, slots))
+            if plan is None:
+                raise RuntimeError(f"no full-rank shift design on either grid for slots {slots}")
+            self._plans[slots] = plan
+        return self._plans[slots]
 
 
 def fit_fourier(plan: ShiftPlan, values: Sequence[float]) -> np.ndarray:
@@ -208,7 +223,7 @@ class ShiftTable:
         p = np.array([abs(np.vdot(self.state(mu, a), self.state(nu, a))) ** 2 for a in points])
         return _maybe_binomial(p, shots, rng)
 
-    def energies(self, mu: int, points, spectrum: Spectrum, shots: int | None = None, rng=None) -> list:
+    def energies(self, mu: int | None, points, spectrum: Spectrum, shots: int | None = None, rng=None) -> list:
         """<H> at theta + a e_mu for each shift a, or its mean over ``shots`` spectrum draws."""
         vals = []
         for a in points:
@@ -228,18 +243,18 @@ def shift_eom(
     spectrum: Spectrum,
     shots: int | None = None,
     seed: int = 0,
-) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
-    """State, metric and energy gradient from samples at shifted parameters.
+) -> EomQuantities:
+    """State, metric, energy gradient and energy from samples at shifted parameters.
 
     The metric comes from overlap curvatures at zero shift: M_mumu =
     -p_mu''/2 and M_munu = [f_munu'' - p_mu'' - p_nu'']/4, with p_mu the
     overlap of psi(theta + a e_mu) with psi(theta) and f_munu that of
     psi(theta + a e_mu) with psi(theta + a e_nu); dE/dtheta_mu is the
-    slope of the fitted energy curve.  Every sample reads one
-    ``ShiftTable``.  With shots, one generator seeded by ``seed`` draws
-    every sample: each slot's curvature and then its energies, then the
-    pairs row by row.  ``plans`` holds the circuit and carries its plans
-    over from earlier calls.
+    slope of the fitted energy curve, and the energy its noiseless value at
+    zero shift.  Every sample reads one ``ShiftTable``.  With shots, one
+    generator seeded by ``seed`` draws every sample: each slot's curvature
+    and then its energies, then the pairs row by row.  ``plans`` holds the
+    circuit and carries its plans over from earlier calls.
     """
     circuit = plans.circuit
     table = ShiftTable(circuit, theta, psi0)
@@ -251,16 +266,16 @@ def shift_eom(
 
     d2p, v = np.empty(npar), np.empty(npar)
     for mu in range(npar):
-        plan = plans((mu,), seed)
+        plan = plans((mu,))
         d2p[mu] = derivative(plan, table.overlaps(mu, None, plan.points, shots, rng), 2)
         v[mu] = derivative(plan, table.energies(mu, plan.points, spectrum, shots, rng), 1)
     m = np.diag(-0.5 * d2p)
     for mu in range(npar):
         for nu in range(mu + 1, npar):
-            plan = plans((mu, nu), seed)
+            plan = plans((mu, nu))
             d2f = derivative(plan, table.overlaps(mu, nu, plan.points, shots, rng), 2)
             m[mu, nu] = m[nu, mu] = 0.25 * (d2f - d2p[mu] - d2p[nu])
-    return table.base, m, v
+    return EomQuantities(m, v, table.base, table.energies(None, [0.0], spectrum)[0])
 
 
 def _plus_probability(words, phase):
@@ -386,15 +401,16 @@ class HadamardRoute:
     Gate p of ``circuit`` has the generator c_p (u_p + u_p^dag); ``rows``
     inserts u_p (row 2p) and u_p^dag (row 2p + 1) after gate p, so a word
     <psi0| A~^dag B~ |psi0> of pieces conjugated up to their gates is
-    <row(A)|row(B)>.  Hamiltonian piece b, c_b h_b, acts at the end of the
-    circuit: ``ham_kernels`` apply the pieces on one target set in one
-    stacked call each, and h_b psi is output row ``ham_col[b]`` of those
-    calls.  ``tests[kind]`` lays out one EOM of ``kind`` ('imag', 'real').
+    <row(A)|row(B)>.  Hamiltonian piece b, c_b h_b with c_b = ``ham_coefs[b]``,
+    acts at the end of the circuit: ``ham_kernels`` apply the pieces on one
+    target set in one stacked call each, and h_b psi is output row
+    ``ham_col[b]`` of those calls.  ``tests[kind]`` lays out one EOM of
+    ``kind`` ('imag', 'real').
     """
 
     circuit: Circuit
     rows: RowPlan
-    ham_pieces: Sequence[tuple[float, LocalOperator]]
+    ham_coefs: np.ndarray
     ham_kernels: tuple
     ham_col: np.ndarray
     tests: dict
@@ -419,7 +435,7 @@ def hadamard_plan(circuit: Circuit, ham_pieces: Sequence[tuple[float, LocalOpera
     ham_col[[b for bs in targets.values() for b in bs]] = np.arange(len(ham_pieces))
     coefs, ham_coefs = np.array(coefs), np.array([coef for coef, _ in ham_pieces], dtype=float)
     tests = _programs(circuit, coefs, ham_coefs, ham_col)
-    return HadamardRoute(circuit, circuit.row_plan(ops), ham_pieces, kernels, ham_col, tests)
+    return HadamardRoute(circuit, circuit.row_plan(ops), ham_coefs, kernels, ham_col, tests)
 
 
 def _read_words(route: HadamardRoute, theta, psi0: QuditRegister) -> tuple[QuditRegister, np.ndarray]:
@@ -500,12 +516,14 @@ def hadamard_eom(
     kind: str,
     shots: int | None = None,
     seed: int = 0,
-) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
-    """State, metric and the vector of ``kind`` ('imag': VI, 'real': VR) from one stage sweep.
+) -> EomQuantities:
+    """State, metric, the vector of ``kind`` ('imag': VI, 'real': VR) and the energy from one stage sweep.
 
-    ``route`` is ``hadamard_plan(circuit, ham_pieces)`` and reads H as those
-    pieces.  With shots, one generator draws the metric's upper triangle row
-    by row, then the vector.
+    ``route`` is ``hadamard_plan(circuit, ham_pieces)`` and reads H only as
+    those pieces: the energy is sum_b c_b Re<psi|h_b psi>, psi's row of the
+    word matrix at the pieces' columns (0 without pieces).  With shots, one
+    generator draws the metric's upper triangle row by row, then the
+    vector; the energy stays noiseless.
     """
     labels = {"imag": "VI", "real": "VR"}
     if kind not in labels:
@@ -517,7 +535,9 @@ def hadamard_eom(
     mus, nus = np.triu_indices(npar)
     m = np.empty((npar, npar))
     m[mus, nus] = m[nus, mus] = _element_values("M", sums[: mus.size])
-    return psi, m, _element_values(labels[kind], sums[mus.size :])
+    r = words.shape[0] - 1  # psi's row
+    energy = float(route.ham_coefs @ words[r, r + 1 + route.ham_col].real)
+    return EomQuantities(m, _element_values(labels[kind], sums[mus.size :]), psi, energy)
 
 
 def _snapshot_draw(dim: int, samples: int, rng) -> np.ndarray:
@@ -555,15 +575,16 @@ def randomized_connected_anticommutator(a: np.ndarray, b: np.ndarray, psi0: np.n
 
 def randomized_eom(
     circuit: Circuit, theta, psi0: QuditRegister, spectrum: Spectrum, samples: int, seed: int
-) -> tuple[QuditRegister, np.ndarray, np.ndarray]:
-    """State, metric and real-time vector from one set of ``samples`` random-unitary snapshots.
+) -> EomQuantities:
+    """State, metric, real-time vector and energy from one set of ``samples`` random-unitary snapshots.
 
     M = C[:P, :P] / 2 and v = C[:P, P] of the connected anticommutators C of
     the Heisenberg slot generators G~_mu and H~ = U^dag H U.  psi0 and blocks
     of snapshots phi enter the tangent sweep, whose rows are -i G~ phi carried
     with the state ref_0, so <phi|G~_mu|phi> = Re(i <ref_0|row_mu>) and
-    <phi|H~|phi> = Re <ref_0|ref_1>.  tr G~_mu sums tr G_p d^(n - |targets|)
-    over slot mu's gates, and tr H~ the spectrum.
+    <phi|H~|phi> = Re <ref_0|ref_1>; psi0's own value of the latter is the
+    energy.  tr G~_mu sums tr G_p d^(n - |targets|) over slot mu's gates,
+    and tr H~ the spectrum.
     """
     n, d, npar = circuit.num_qudits, circuit.local_dim, circuit.num_params
     phi = _snapshot_draw(psi0.dim, samples, np.random.default_rng(seed))
@@ -580,4 +601,4 @@ def randomized_eom(
     block = max(1, _SNAPSHOT_BYTES // ((npar + 1) * psi0.dim * 16))
     values = np.concatenate([expectations(blk)[1] for blk in np.array_split(phi, -(-samples // block))])
     c = _connected_anticommutators(values, mean0[0], traces, phi, psi0.amplitudes)
-    return QuditRegister(n, d, psi[0]), 0.5 * c[:npar, :npar], c[:npar, npar]
+    return EomQuantities(0.5 * c[:npar, :npar], c[:npar, npar], QuditRegister(n, d, psi[0]), float(mean0[0, npar]))

@@ -9,7 +9,6 @@ metric normalized as the real part of the quantum geometric tensor:
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,30 +20,8 @@ from . import model as model_mod
 from .ansatz import Circuit, chain_circuit, plaquette_circuit, random_initial_params
 from .config import EstimatorConfig, EvolutionConfig, RunConfig
 from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, lift_diagonal
+from .measure import EomQuantities
 from .model import DIM_CAP, CapError, HamiltonianSpec
-
-
-@dataclass(frozen=True)
-class EomQuantities:
-    """Metric and flow vector at theta, with the state and its energy <psi|H|psi>.
-
-    ``factor`` is None, or F (P x n) such that M = F F^T, and ``target`` is
-    then r (n entries) with F r = v.  ``exact_eom`` always returns the
-    factor, with ``metric`` None; the estimator routes return M itself as
-    ``metric``.  ``m`` reads the metric either way.
-    """
-
-    metric: np.ndarray | None
-    v: np.ndarray
-    psi: QuditRegister
-    energy: float
-    factor: np.ndarray | None = None
-    target: np.ndarray | None = None
-
-    @functools.cached_property
-    def m(self) -> np.ndarray:
-        """M: ``metric``, or F F^T formed from ``factor`` on first read."""
-        return self.factor @ self.factor.T if self.metric is None else self.metric
 
 
 @dataclass(frozen=True)
@@ -53,14 +30,11 @@ class SolveInfo:
 
     ``rank`` counts the kept eigendirections and ``retained_cond`` is the
     ratio of the largest kept eigenvalue to the smallest (inf when none is
-    kept).  ``eig_min`` and ``eig_max`` are the extreme eigenvalues of the
-    matrix diagonalized: M, or F^T F when M was given as its factor F.  The
-    nonzero eigenvalues of the two are the same, so rank and retained_cond
-    do not depend on which was solved.
+    kept).  The matrix diagonalized is M, or F^T F when M was given as its
+    factor F; the nonzero eigenvalues of the two are the same, so neither
+    depends on which was solved.
     """
 
-    eig_min: float
-    eig_max: float
     rank: int
     retained_cond: float
 
@@ -135,8 +109,7 @@ def solve_flow(
     else:
         check_hermitian(m, "metric", rtol=1e-8)
         w, q = np.linalg.eigh((m + m.T) / 2.0)
-    eig_min, eig_max = float(w[0]), float(w[-1])
-    keep = (w > 0.0) & (w >= cutoff * eig_max)
+    keep = (w > 0.0) & (w >= cutoff * w[-1])
     kept = w[keep]
     if factor:
         uk = u[:, keep]
@@ -145,7 +118,7 @@ def solve_flow(
         inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
         theta_dot = q @ (inv * (q.T @ v))
     cond = float(kept[-1] / kept[0]) if kept.size else float("inf")
-    return theta_dot, SolveInfo(eig_min, eig_max, int(keep.sum()), cond)
+    return theta_dot, SolveInfo(int(keep.sum()), cond)
 
 
 def integrate_step(
@@ -254,7 +227,7 @@ def exact_row(ctx: RunContext, step: int, t: float, prefix: str = "") -> tuple[n
 
 
 def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
-    """(theta, kind) -> EomQuantities through the route ``est_cfg.mode`` selects.
+    """(theta, kind) -> EomQuantities, the return of the route ``est_cfg.mode`` selects.
 
     A shot call and every randomized call draw from the next seed of
     SeedSequence([est_cfg.seed, call]); a noiseless call reads seed 0.
@@ -271,28 +244,22 @@ def make_estimator(est_cfg: EstimatorConfig, ctx: RunContext):
     if est_cfg.mode == "shift":
         plans = measure.ShiftPlans(circuit)
 
-        def route(theta, kind):
+        def est(theta, kind):
             if kind != "imag":
                 raise ValueError("the shift route provides the metric and dE/dtheta only")
             return measure.shift_eom(plans, theta, psi0, spectrum, shots, seed(shots is not None))
     elif est_cfg.mode == "hadamard":
         plan = measure.hadamard_plan(circuit, model_mod.hamiltonian_unitary_pieces(ctx.ham_spec))
 
-        def route(theta, kind):
+        def est(theta, kind):
             return measure.hadamard_eom(plan, theta, psi0, kind, shots, seed(shots is not None))
     elif est_cfg.mode == "randomized":
-        def route(theta, kind):
+        def est(theta, kind):
             if kind != "real":
                 raise ValueError("the randomized route only provides anticommutators")
             return measure.randomized_eom(circuit, theta, psi0, spectrum, est_cfg.samples, seed(True))
     else:
         raise ValueError(f"unknown estimator mode {est_cfg.mode!r}")
-
-    def est(theta, kind):
-        psi, m, v = route(theta, kind)
-        amp = psi.amplitudes
-        return EomQuantities(m, v, psi, float(np.vdot(amp, spectrum @ amp).real))
-
     return est
 
 

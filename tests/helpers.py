@@ -78,7 +78,6 @@ def hadamard_eom_reference(route, theta, psi0, kind: str, shots=None, seed: int 
     nrows = 2 * len(circuit.gates)
     coefs = np.array([unitary_split(g.generator).norm / 2.0 for g in circuit.gates])
     ham = nrows + 1 + route.ham_col
-    ham_coefs = np.array([coef for coef, _ in route.ham_pieces], dtype=float)
     rng = np.random.default_rng(seed) if shots is not None else None
 
     def pieces(mu):  # u_p, then u_p^dag, for each gate p of slot mu
@@ -97,7 +96,7 @@ def hadamard_eom_reference(route, theta, psi0, kind: str, shots=None, seed: int 
 
     def element(label, mu, nu=None):
         c_left, own_left = pieces(mu)
-        c_right, right = pieces(nu) if label == "M" else (ham_coefs, ham)
+        c_right, right = pieces(nu) if label == "M" else (route.ham_coefs, ham)
         alpha = np.pi / 2.0 if label == "VI" else 0.0
         pair = total(np.multiply.outer(c_left, c_right) * values(words[np.ix_(own_left ^ 1, right)], alpha))
         if label == "VI":

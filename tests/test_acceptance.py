@@ -259,7 +259,8 @@ class TestCriterion6EstimatorEquivalence:
                 m = exact_eom(circ, theta, None, psi0, "imag").m
                 vi = exact_eom(circ, theta, ham, psi0, "imag").v
                 vr = exact_eom(circ, theta, ham, psi0, "real").v
-                _, m_shift, v_shift = shift_eom(ShiftPlans(circ), theta, psi0, spectrum)
+                shift = shift_eom(ShiftPlans(circ), theta, psi0, spectrum)
+                m_shift, v_shift = shift.m, shift.v
                 if model_kind == "chain":
                     pairs = [(a, b) for a in range(npar) for b in range(a, npar)]
                     slots = list(range(npar))

@@ -1,11 +1,16 @@
 """Shift-rule, Hadamard-test, and randomized measurement emulation."""
+import ast
+import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quditgauge import measure
 from quditgauge.ansatz import Circuit, chain_circuit, plaquette_circuit
+from quditgauge.cli import main
 from quditgauge.config import parse_config
 from quditgauge.core import LocalOperator, QuditRegister, basis_state, embedded_pauli
 from quditgauge.measure import (
@@ -173,15 +178,36 @@ class TestPlans:
             est(rng.uniform(-1, 1, ctx.circuit.num_params), "imag")
         assert len(planned) == len(set(planned)) == 8 + 28
 
-    def test_plan_off_the_grids_is_drawn_from_each_seed(self, monkeypatch):
-        # when neither fixed grid is full rank, every call draws its points from its own seed
+    def test_plan_off_the_grids_raises_naming_its_slots(self, monkeypatch, tmp_path, capsys):
+        # a frequency set that neither fixed grid resolves is a numerical failure, exit 3 in the CLI
         monkeypatch.setattr(measure, "_grid_plan", lambda freqs: None)
-        plans = measure.ShiftPlans(chain_circuit(3, 1, "imag"))
-        freqs = plans((2,), 0).frequencies
-        gap = np.min(np.diff(freqs))
-        for seed in (0, 7, 0):
-            want = np.sort(np.random.default_rng(seed).uniform(-np.pi, np.pi, len(freqs))) / gap
-            assert np.array_equal(plans((2,), seed).points, want)
+        with pytest.raises(RuntimeError, match=r"slots \(2,\)"):
+            measure.ShiftPlans(chain_circuit(3, 1, "imag"))((2,))
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "model": {"dimension": 1, "num_links": 3},
+                    "ansatz": {"family": "chain", "layers": 1},
+                    "evolution": {"mode": "vite", "steps": 2},
+                    "estimator": {"mode": "shift"},
+                }
+            )
+        )
+        assert main(["ground", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure: no full-rank shift design" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "circ",
+        [chain_circuit(3, 1, "imag"), plaquette_circuit(1, "imag", True)],
+        ids=["chain-L3", "plaquette-N1-gate"],
+    )
+    def test_every_plan_is_on_a_fixed_grid(self, circ):
+        plans = ShiftPlans(circ)
+        npar = circ.num_params
+        for slots in [(mu,) for mu in range(npar)] + list(itertools.combinations(range(npar), 2)):
+            plan = plans(slots)  # raises off both grids
+            assert np.linalg.cond(plan.design) < measure.RANK_COND_LIMIT, slots
 
 
 class TestFourierFit:
@@ -225,17 +251,17 @@ class TestMetricFromShifts:
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             m_exact = exact_eom(circ, theta, None, psi0, "imag").m
-            _, m, _ = shift_eom(ShiftPlans(circ), theta, psi0, spec)
+            m = shift_eom(ShiftPlans(circ), theta, psi0, spec).m
             for mu, nu in [(0, 0), (2, 2), (0, 1), (2, 5), (4, 7)]:
                 assert m[mu, nu] == pytest.approx(m_exact[mu, nu], abs=1e-8), (mu, nu)
 
     def test_full_matrix(self, small_chain):
         circ, ham, psi0 = small_chain
         theta = np.random.default_rng(14).uniform(-np.pi, np.pi, circ.num_params)
-        psi, got, _ = shift_eom(ShiftPlans(circ), theta, psi0, eigendecompose(ham))
+        got = shift_eom(ShiftPlans(circ), theta, psi0, eigendecompose(ham))
         want = exact_eom(circ, theta, None, psi0, "imag").m
-        assert np.max(np.abs(got - want)) < 1e-8
-        assert np.array_equal(psi.amplitudes, circ.state(theta, psi0).amplitudes)
+        assert np.max(np.abs(got.m - want)) < 1e-8
+        assert np.array_equal(got.psi.amplitudes, circ.state(theta, psi0).amplitudes)
 
     def test_diagonal_is_variance(self):
         # single-gate circuit: M_00 = Var(G) reproduced through p''(0)
@@ -246,7 +272,7 @@ class TestMetricFromShifts:
         rng = np.random.default_rng(15)
         psi = random_state(3, rng)
         reg = basis_state(1, 3, [0]).__class__(1, 3, psi)
-        _, m, _ = shift_eom(ShiftPlans(circ), np.array([0.2]), reg, eigendecompose(gen.matrix))
+        m = shift_eom(ShiftPlans(circ), np.array([0.2]), reg, eigendecompose(gen.matrix)).m
         g = gen.matrix
         want = np.vdot(psi, g @ g @ psi).real - np.vdot(psi, g @ psi).real ** 2
         assert m[0, 0] == pytest.approx(want, abs=1e-9)
@@ -258,7 +284,7 @@ class TestMetricFromShifts:
         theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
         exact = exact_eom(circ, theta, None, psi0, "imag").m[1, 1]
         shots, plans = 2000, ShiftPlans(circ)
-        draws = np.array([shift_eom(plans, theta, psi0, spec, shots=shots, seed=s)[1][1, 1] for s in range(100)])
+        draws = np.array([shift_eom(plans, theta, psi0, spec, shots=shots, seed=s).m[1, 1] for s in range(100)])
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - exact) < 3 * se + 1e-12
 
@@ -271,7 +297,7 @@ class TestGradientFromShifts:
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
             grad = exact_eom(circ, theta, ham, psi0, "imag").v
-            _, _, got = shift_eom(ShiftPlans(circ), theta, psi0, spec)
+            got = shift_eom(ShiftPlans(circ), theta, psi0, spec).v
             for mu in range(circ.num_params):
                 assert got[mu] == pytest.approx(grad[mu], abs=1e-8), mu
 
@@ -279,7 +305,7 @@ class TestGradientFromShifts:
         circ, _, psi0 = small_chain
         spec = eigendecompose(np.eye(27, dtype=complex))
         theta = np.random.default_rng(18).uniform(-1, 1, circ.num_params)
-        assert shift_eom(ShiftPlans(circ), theta, psi0, spec)[2][0] == pytest.approx(0.0, abs=1e-10)
+        assert shift_eom(ShiftPlans(circ), theta, psi0, spec).v[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_error_scales_with_shots(self, small_chain):
         # slot 0's gradient from its energy samples alone, a generator per seed
@@ -453,9 +479,9 @@ class TestShotNoiseIndependence:
         route, plans = measure.hadamard_plan(circ, pieces), ShiftPlans(circ)
         upper = np.triu_indices(circ.num_params)
         metric = np.array(
-            [measure.hadamard_eom(route, theta, psi0, "imag", 1000, s)[1][upper] for s in range(100)]
+            [measure.hadamard_eom(route, theta, psi0, "imag", 1000, s).m[upper] for s in range(100)]
         )
-        gradient = np.array([shift_eom(plans, theta, psi0, spectrum, 1000, s)[2] for s in range(60)])
+        gradient = np.array([shift_eom(plans, theta, psi0, spectrum, 1000, s).v for s in range(60)])
         assert self.largest_correlation(metric) < 0.6
         assert self.largest_correlation(gradient) < 0.6
 
@@ -525,14 +551,15 @@ class TestHadamardProgram:
         for seed in (0, 1):
             got = measure.hadamard_eom(route, theta, ctx.psi0, kind, 1000, seed)
             want = hadamard_eom_reference(route, theta, ctx.psi0, kind, 1000, seed)
-            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), seed
+            assert np.array_equal(got.m, want[1]) and np.array_equal(got.v, want[2]), seed
 
     @pytest.mark.parametrize("name", ["chain-L3-N2", "plaquette-N1"])
     def test_noiseless_matches_exact_and_per_element_loop(self, name):
         ctx, pieces, route = hadamard_route(name)
         theta = np.random.default_rng(46).uniform(-np.pi, np.pi, ctx.circuit.num_params)
         for kind in ("imag", "real"):
-            _, m, v = measure.hadamard_eom(route, theta, ctx.psi0, kind)
+            got = measure.hadamard_eom(route, theta, ctx.psi0, kind)
+            m, v = got.m, got.v
             _, m_ref, v_ref = hadamard_eom_reference(route, theta, ctx.psi0, kind)
             exact = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
             assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref), kind
@@ -556,8 +583,9 @@ class TestHadamardProgram:
         ctx, pieces, route = hadamard_route("chain-L3-N1")
         circ = ctx.circuit
         theta = np.random.default_rng(47).uniform(-np.pi, np.pi, circ.num_params)
-        _, m, vi = measure.hadamard_eom(route, theta, ctx.psi0, "imag")
-        vr = measure.hadamard_eom(route, theta, ctx.psi0, "real")[2]
+        imag = measure.hadamard_eom(route, theta, ctx.psi0, "imag")
+        m, vi = imag.m, imag.v
+        vr = measure.hadamard_eom(route, theta, ctx.psi0, "real").v
         # with the same pieces the element reads the same word matrix
         for mu, nu in [(0, 0), (2, 5), (5, 2), (7, 7)]:
             assert element_from_hadamard("M", circ, theta, mu, nu, pieces, ctx.psi0) == m[mu, nu], (mu, nu)
@@ -711,7 +739,8 @@ class TestRandomizedEom:
         # it reproduces the EOM's elements up to roundoff
         _, ctx = real_chain_context()
         theta = np.random.default_rng(48).uniform(-np.pi, np.pi, ctx.circuit.num_params)
-        psi, m, v = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 50, 9)
+        eom = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 50, 9)
+        m, v = eom.m, eom.v
         u, gens = dense_heisenberg(ctx.circuit, theta)
         h_tilde = u.conj().T @ (ctx.spectrum @ u)
         amps = ctx.psi0.amplitudes
@@ -759,8 +788,8 @@ class TestRandomizedEom:
         want = np.concatenate([exact.m[upper], exact.v])
         slopes = []
         for s in range(80):
-            _, m, v = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 2000, s)
-            slopes.append(np.concatenate([m[upper], v]) @ want / (want @ want))
+            eom = measure.randomized_eom(ctx.circuit, theta, ctx.psi0, ctx.spectrum, 2000, s)
+            slopes.append(np.concatenate([eom.m[upper], eom.v]) @ want / (want @ want))
         slopes = np.array(slopes)
 
         def within_three_se(values):
@@ -769,3 +798,54 @@ class TestRandomizedEom:
         assert within_three_se(slopes)
         assert not within_three_se(1.2 * slopes)
         assert not within_three_se(0.8 * slopes)
+
+
+class TestRouteContract:
+    """Every estimator route returns its own EomQuantities, with the energy it reads itself."""
+
+    def test_measure_does_not_import_varsim(self):
+        # varsim imports measure, so the reverse import would close a cycle
+        package = Path(measure.__file__).parent
+        seen, todo = set(), ["measure"]
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    found = [node.module] if node.module else [alias.name for alias in node.names]
+                    todo += [m for m in found if m not in seen and (package / f"{m}.py").exists()]
+        assert "varsim" not in seen, sorted(seen)
+
+    @pytest.mark.parametrize("name", ["chain-L3-N1", "plaquette-N1"])
+    @pytest.mark.parametrize(
+        "mode,kind,shots",
+        [
+            ("shift", "imag", None),
+            ("shift", "imag", 100),
+            ("hadamard", "imag", None),
+            ("hadamard", "real", 100),
+            ("randomized", "real", None),
+        ],
+    )
+    def test_energy_is_the_states_energy(self, name, mode, kind, shots):
+        model_cfg, ansatz_cfg = HADAMARD_MODELS[name]
+        cfg = parse_config(
+            {
+                "model": model_cfg,
+                "ansatz": ansatz_cfg,
+                "evolution": {"mode": "vite" if kind == "imag" else "vrte"},
+                "estimator": {"mode": mode, "shots": shots, "samples": 2, "seed": 3},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        theta = np.random.default_rng(50).uniform(-np.pi, np.pi, ctx.circuit.num_params)
+        eom = make_estimator(cfg.estimator, ctx)(theta, kind)
+        assert isinstance(eom, measure.EomQuantities)
+        amp = ctx.circuit.state(theta, ctx.psi0).amplitudes
+        assert np.max(np.abs(eom.psi.amplitudes - amp)) < 1e-12
+        assert eom.energy == pytest.approx(np.vdot(amp, ctx.spectrum @ amp).real, abs=1e-12)
+
+    def test_hadamard_route_without_pieces_reads_zero_energy(self, small_chain):
+        circ, _, psi0 = small_chain
+        theta = np.random.default_rng(51).uniform(-np.pi, np.pi, circ.num_params)
+        assert measure.hadamard_eom(measure.hadamard_plan(circ), theta, psi0, "imag").energy == 0.0

@@ -16,7 +16,7 @@ from quditgauge.ansatz import (
 from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig, parse_config
 from quditgauge.core import LocalOperator, basis_state, embedded_pauli
 from quditgauge.model import chain_hamiltonian, materialize
-from quditgauge.oracle import Spectrum, evolve_real, finite_difference
+from quditgauge.oracle import Spectrum, evolve_imag, evolve_real, finite_difference
 from quditgauge.varsim import (
     RunContext,
     _checked_flow,
@@ -279,6 +279,9 @@ class TestMakeEstimator:
                 assert np.max(np.abs(got.v - want.v)) < 1e-8, kind
                 assert np.array_equal(got.psi.amplitudes, want.psi.amplitudes), kind
                 assert got.energy == pytest.approx(want.energy, abs=1e-12), kind
+        else:  # a noisy M and v, but the state's own energy
+            got, want = est(theta, "real"), exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, "real")
+            assert got.energy == pytest.approx(want.energy, abs=1e-12)
         if mode == "exact":
             return
         noisy = dataclasses.replace(cfg.estimator, shots=100, seed=5)
@@ -685,15 +688,20 @@ class TestQuench:
 
 
 class TestCompleteAnsatzConvergence:
-    """On a complete ansatz the real-time flow is exact, so only the integrator's error is left.
+    """On a complete ansatz the flow is exact, so only the integrator's error is left.
 
     The N=5 plaquette with the four-body gate spans every direction of its
     state space at a random theta (``test_ansatz.TestPlaquetteTangentRank``).
-    From there, RK4's infidelity against exact evolution falls at its
-    order: 4.85e-4 / 7.05e-6 / 3.24e-8 at dt 0.04 / 0.02 / 0.01 to t = 0.4.
+    From there, RK4's infidelity against exact evolution to t = 0.4 falls at
+    its order: 4.85e-4 / 7.05e-6 / 3.24e-8 at dt 0.04 / 0.02 / 0.01 in real
+    time, and 3.06e-3 / 1.04e-4 / 2.65e-7 in imaginary time.  There the
+    parameter speed reaches 100-135, so dt 0.04 is not yet small and only
+    the last ratio shows the order.
     """
 
-    def test_real_time_rk4_converges_at_its_order(self):
+    @staticmethod
+    def rk4_infidelities(kind: str, sign: float, evolve) -> tuple[float, float]:
+        """RK4 infidelity against ``evolve`` of the start to 0.4, at dt 0.02 and 0.01."""
         cfg = parse_config(
             {
                 "model": {"dimension": 2, "num_links": 4},
@@ -703,11 +711,11 @@ class TestCompleteAnsatzConvergence:
         )
         ctx = RunContext.from_config(cfg)
         theta0 = random_initial_params(ctx.circuit, 7, np.pi / 4)
-        want = evolve_real(ctx.spectrum, ctx.circuit.state(theta0, ctx.psi0).amplitudes, 0.4)
+        want = evolve(ctx.spectrum, ctx.circuit.state(theta0, ctx.psi0).amplitudes, 0.4)
 
         def deriv(theta):
-            eom = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, "real")
-            return solve_flow(eom.factor, 0.5 * eom.target, cfg.evolution.cutoff, factor=True)[0]
+            eom = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
+            return solve_flow(eom.factor, sign * eom.target, cfg.evolution.cutoff, factor=True)[0]
 
         def infidelity(dt):
             theta = theta0
@@ -715,8 +723,16 @@ class TestCompleteAnsatzConvergence:
                 theta = integrate_step(theta, deriv, dt, "rk4")
             return 1.0 - abs(np.vdot(want, ctx.circuit.state(theta, ctx.psi0).amplitudes)) ** 2
 
-        coarse, fine = infidelity(0.02), infidelity(0.01)
+        return infidelity(0.02), infidelity(0.01)
+
+    def test_real_time_rk4_converges_at_its_order(self):
+        coarse, fine = self.rk4_infidelities("real", 0.5, evolve_real)
         assert fine < 1e-7, fine
+        assert coarse / fine >= 100.0, (coarse, fine)
+
+    def test_imag_time_rk4_converges_at_its_order(self):
+        coarse, fine = self.rk4_infidelities("imag", -0.5, evolve_imag)  # evolve_imag normalizes
+        assert fine < 1e-6, fine
         assert coarse / fine >= 100.0, (coarse, fine)
 
 
