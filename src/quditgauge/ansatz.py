@@ -8,7 +8,7 @@ entangler generated by the plaquette loop sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -467,15 +467,18 @@ class Circuit:
         return "\n".join(lines)
 
 
-def _rotation_generator(d: int, i: int, j: int, phi: float, target: int) -> LocalOperator:
+@cache
+def _rotation_generator(d: int, i: int, j: int, phi: float) -> LocalOperator:
+    """(cos phi X + sin phi Y) / 2 on levels (i, j), built once and placed on each qudit with ``on``."""
     sigma = np.cos(phi) * embedded_pauli(d, i, j, "X").matrix + np.sin(phi) * embedded_pauli(
         d, i, j, "Y"
     ).matrix
-    return LocalOperator(d, (target,), sigma / 2.0, hermitian=True)
+    return LocalOperator(d, (0,), sigma / 2.0, hermitian=True)
 
 
-def _rz_generator(d: int, i: int, j: int, target: int) -> LocalOperator:
-    return LocalOperator(d, (target,), embedded_pauli(d, i, j, "Z").matrix / 2.0, hermitian=True)
+@cache
+def _rz_generator(d: int, i: int, j: int) -> LocalOperator:
+    return LocalOperator(d, (0,), embedded_pauli(d, i, j, "Z").matrix / 2.0, hermitian=True)
 
 
 # Rotation blocks, listed in application order (rightmost factor first).
@@ -509,7 +512,7 @@ def _append_shallow_blocks(gates, groups, d, next_slot):
         for q in qudits:
             for k, ((i, j), phi) in enumerate(_SHALLOW_BLOCK):
                 gates.append(
-                    Gate("rotation", (q,), slots[name][k], _rotation_generator(d, i, j, phi, q), (i, j), phi)
+                    Gate("rotation", (q,), slots[name][k], _rotation_generator(d, i, j, phi).on(q), (i, j), phi)
                 )
     return next_slot
 
@@ -526,11 +529,11 @@ def _append_deep_blocks(gates, groups, edge_names, d, next_slot):
             for k, spec in enumerate(block):
                 if spec[0] == "rz":
                     i, j = spec[1]
-                    gates.append(Gate("rz", (q,), slots[name][k], _rz_generator(d, i, j, q), (i, j)))
+                    gates.append(Gate("rz", (q,), slots[name][k], _rz_generator(d, i, j).on(q), (i, j)))
                 else:
                     _, (i, j), phi = spec
                     gates.append(
-                        Gate("rotation", (q,), slots[name][k], _rotation_generator(d, i, j, phi, q), (i, j), phi)
+                        Gate("rotation", (q,), slots[name][k], _rotation_generator(d, i, j, phi).on(q), (i, j), phi)
                     )
     return next_slot
 
@@ -602,7 +605,7 @@ def plaquette_circuit(
             gates.append(Gate("crot", (a, b), next_slot, crot_gen.on(a, b)))
             next_slot += 1
         if include_plaquette_gate:
-            gates.append(Gate("plaq", (0, 1, 2, 3), next_slot, loop_gen))
+            gates.append(Gate("plaq", (0, 1, 2, 3), next_slot, loop_gen.on(0, 1, 2, 3)))
             next_slot += 1
     return Circuit(tuple(gates), next_slot, 4, d, layers, f"plaquette_{mode}")
 

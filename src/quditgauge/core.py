@@ -5,6 +5,7 @@ state with levels (l_0, ..., l_{n-1}) sits at index sum_k l_k * d**k.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -58,6 +59,11 @@ class QuditRegister:
         return self.num_qudits - 1 - q
 
 
+def _check_distinct(targets: tuple[int, ...]) -> None:
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target indices: {tuple(targets)}")
+
+
 @dataclass(frozen=True)
 class LocalOperator:
     """Dense operator on a few qudits.
@@ -74,8 +80,7 @@ class LocalOperator:
 
     def __post_init__(self):
         k = len(self.targets)
-        if len(set(self.targets)) != k:
-            raise ValueError(f"duplicate target indices: {self.targets}")
+        _check_distinct(self.targets)
         dim = self.local_dim**k
         if self.matrix.shape != (dim, dim):
             raise ValueError(
@@ -85,10 +90,17 @@ class LocalOperator:
             check_hermitian(self.matrix, "flagged operator", atol=HERMITIAN_ATOL)
 
     def on(self, *targets: int) -> "LocalOperator":
-        """Rebind the operator to new target qudits."""
+        """The same operator on new target qudits.
+
+        The two share one matrix, already checked, which is made read-only.
+        """
         if len(targets) != len(self.targets):
             raise ValueError(f"expected {len(self.targets)} targets, got {len(targets)}")
-        return replace(self, targets=tuple(targets))
+        _check_distinct(targets)
+        self.matrix.flags.writeable = False
+        op = copy.copy(self)
+        object.__setattr__(op, "targets", tuple(targets))
+        return op
 
     def dagger(self) -> "LocalOperator":
         return replace(self, matrix=self.matrix.conj().T)
@@ -267,10 +279,7 @@ def batch_kernel(num_qudits: int, d: int, targets: Sequence[int]):
 
     if k == num_qudits:
         dim = d**num_qudits
-        idx = np.arange(dim)
-        loc = np.zeros_like(idx)
-        for pos, t in enumerate(targets):
-            loc += ((idx // d**t) % d) * d ** (k - 1 - pos)
+        loc = local_index(targets, d, num_qudits)
         index = loc[:, None] * dim + loc[None, :]
 
         def run(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -379,18 +388,22 @@ def lift_operator(op: LocalOperator, num_qudits: int, local_dim: int | None = No
     return tensor.reshape(dim, dim)
 
 
+def local_index(targets: Sequence[int], d: int, num_qudits: int) -> np.ndarray:
+    """Each register basis state's row in a matrix on ``targets`` (targets[0] most significant).
+
+    A diagonal ``local`` on ``targets`` lifts to the register as ``local[local_index(...)]``.
+    """
+    idx = np.arange(d**num_qudits)
+    k = len(targets)
+    loc = np.zeros(idx.size, dtype=np.int64)
+    for pos, t in enumerate(targets):
+        loc += ((idx // d**t) % d) * d ** (k - 1 - pos)
+    return loc
+
+
 def lift_diagonal(op: LocalOperator, num_qudits: int) -> np.ndarray:
     """Diagonal of the lifted operator, for operators that are diagonal already."""
     offdiag = op.matrix - np.diag(np.diag(op.matrix))
     if np.max(np.abs(offdiag)) > 1e-14:
         raise ValueError("operator is not diagonal")
-    d = op.local_dim
-    dim = d**num_qudits
-    local = np.diag(op.matrix)
-    idx = np.arange(dim)
-    k = len(op.targets)
-    loc = np.zeros(dim, dtype=np.int64)
-    for pos, t in enumerate(op.targets):
-        digit = (idx // d**t) % d
-        loc += digit * d ** (k - 1 - pos)
-    return local[loc]
+    return np.diag(op.matrix)[local_index(op.targets, op.local_dim, num_qudits)]

@@ -24,6 +24,7 @@ from .core import (
     check_hermitian,
     embedded_pauli,
     level_projector,
+    lift_diagonal,
     lift_operator,
 )
 
@@ -299,11 +300,12 @@ def plaquette_loop_op(
     if lattice.dimension != 2:
         raise ValueError("the loop operator lives on the plaquette lattice")
     d = lattice.local_dim
-    raise_mat = link_raise_op(d, link_amplitude).matrix
-    prod = np.eye(d**4, dtype=complex)
-    for link, dag in ((0, False), (1, False), (2, True), (3, True)):
-        mat = raise_mat.conj().T if dag else raise_mat
-        prod = prod @ lift_operator(LocalOperator(d, (link,), mat), 4)
+    up = link_raise_op(d, link_amplitude).matrix
+    down = up.conj().T
+    # One factor per link in register order, qudit 3 most significant, nested
+    # so that each entry multiplies its four factors in the order of the
+    # product U_0 U_1 U_2^dag U_3^dag.
+    prod = np.kron(down, np.kron(down, np.kron(up, up)))
     # Phase marks E on the bottom and right links; the two out-of-lattice
     # fields in the printed exponent contribute the boundary value.
     evals = electric_values(d, electric_offset)
@@ -313,8 +315,7 @@ def plaquette_loop_op(
     for link in (0, 1):
         exponent += evals[(idx // d**link) % d]
     phase = np.exp(1.0j * np.pi * exponent)
-    mat = np.diag(phase) @ prod
-    return LocalOperator(d, (0, 1, 2, 3), mat)
+    return LocalOperator(d, (0, 1, 2, 3), phase[:, None] * prod)
 
 
 def _plaquette_hop_term(
@@ -339,12 +340,13 @@ def _plaquette_hop_term(
     exponent = np.full(dim, bcount * lattice.boundary - lattice.site_parity(site_b))
     for l in marked:
         exponent += evals[(idx // d**l) % d]
-    sign = np.diag(np.exp(1.0j * np.pi * exponent))
     overall = 1.0 if direction == 1 else -1.0
-    p_a = lift_operator(gauss_projector(site_a, 1, lattice, electric_offset), 4)
-    p_b = lift_operator(gauss_projector(site_b, 1, lattice, electric_offset), 4)
+    p_a, p_b = (
+        lift_diagonal(gauss_projector(site, 1, lattice, electric_offset), 4) for site in (site_a, site_b)
+    )
     u = lift_operator(LocalOperator(d, (link,), link_raise_op(d, link_amplitude).matrix), 4)
-    half = overall * (p_a @ sign @ u @ p_b)
+    # P_a sign U P_b with diagonal P_a, sign and P_b: a row and a column scaling of U.
+    half = (overall * p_a * np.exp(1.0j * np.pi * exponent))[:, None] * u * p_b
     return LocalOperator(d, (0, 1, 2, 3), half + half.conj().T, hermitian=True)
 
 

@@ -19,7 +19,7 @@ from . import measure, oracle
 from . import model as model_mod
 from .ansatz import Circuit, chain_circuit, plaquette_circuit, random_initial_params
 from .config import EstimatorConfig, EvolutionConfig, RunConfig
-from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, lift_diagonal
+from .core import QuditRegister, basis_state, check_hermitian, entanglement_entropy, local_index
 from .measure import EomQuantities
 from .model import DIM_CAP, CapError, HamiltonianSpec
 
@@ -205,8 +205,9 @@ class RunContext:
         circuit = build_circuit(cfg)
         n = ham_spec.num_qudits
         psi0 = basis_state(n, 3, [1] * n)
-        ops = model_mod.fermion_number_ops(ham_spec.lattice, cfg.model.electric_offset)
-        n_diags = np.stack([lift_diagonal(op, n).real for op in ops])
+        sites = range(ham_spec.lattice.num_sites)
+        gauss = [model_mod.gauss_diagonal(s, ham_spec.lattice, cfg.model.electric_offset) for s in sites]
+        n_diags = np.stack([diag[local_index(targets, 3, n)] for targets, diag in gauss])
         return cls(ham_spec, spectrum, circuit, psi0, n_diags, entropy_cut(cfg))
 
 
@@ -335,26 +336,28 @@ def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):
     def deriv(th):  # k is the step being taken
         return _checked_flow(est, th, "imag", -0.5, ev, k)[1]
 
-    def energy_of(th):
-        amp = ctx.circuit.state(th, ctx.psi0).amplitudes
-        return float(np.vdot(amp, ctx.spectrum @ amp).real)
-
     records: list[TrajectoryRecord] = []
     tau = 0.0
+    flow = _checked_flow(est, theta, "imag", -0.5, ev, 0)
     for k in range(ev.steps + 1):
-        eom, dot, info = _checked_flow(est, theta, "imag", -0.5, ev, k)
+        eom, dot, info = flow
         rec = snapshot(ctx, theta, k, tau, reference, eom, info)
-        del eom  # a held EOM would keep its tangent bundle alive through the next sweep
+        del eom, flow  # a held EOM would keep its tangent bundle alive through the next sweep
         records.append(rec)
         if k == ev.steps or rec.columns["grad_norm"] < ev.grad_tolerance:
             break
         # The continuous flow can only lower the energy, so a candidate step
-        # that raises it has overshot: halve the step until it descends.
+        # that raises it, or leaves the finite numbers, has overshot: halve
+        # the step until it descends.  The accepted candidate's EOM is the
+        # next row's.
         dt = ev.dt
         for _ in range(_MAX_HALVINGS):
             candidate = integrate_step(theta, deriv, dt, ev.integrator, k1=dot)
-            if energy_of(candidate) <= rec.columns["energy"] + 1e-9:
-                break
+            if np.all(np.isfinite(candidate)):
+                flow = _checked_flow(est, candidate, "imag", -0.5, ev, k + 1)
+                if flow[0].energy <= rec.columns["energy"] + 1e-9:
+                    break
+                del flow  # released before the next candidate's sweep
             dt /= 2.0
         else:
             raise RuntimeError(

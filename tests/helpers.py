@@ -114,3 +114,51 @@ def hadamard_eom_reference(route, theta, psi0, kind: str, shots=None, seed: int 
             m[mu, nu] = m[nu, mu] = element("M", mu, nu)
     label = {"imag": "VI", "real": "VR"}[kind]
     return psi, m, np.array([element(label, mu) for mu in range(npar)])
+
+
+def dense_plaquette_loop(lattice, electric_offset: str, link_amplitude: str) -> np.ndarray:
+    """The plaquette loop operator's matrix as a product of four dense lifts and a dense phase matrix.
+
+    This is the construction ``model.plaquette_loop_op`` replaced; every
+    entry of the model's operator must equal it exactly.
+    """
+    from quditgauge.model import electric_values, link_raise_op
+
+    d = lattice.local_dim
+    raise_mat = link_raise_op(d, link_amplitude).matrix
+    prod = np.eye(d**4, dtype=complex)
+    for link, dag in ((0, False), (1, False), (2, True), (3, True)):
+        prod = prod @ kron_lift(raise_mat.conj().T if dag else raise_mat, (link,), 4, d)
+    evals = electric_values(d, electric_offset)
+    idx = np.arange(d**4)
+    exponent = np.full(d**4, 2.0 * lattice.boundary)
+    for link in (0, 1):
+        exponent += evals[digit(idx, link, d)]
+    return np.diag(np.exp(1.0j * np.pi * exponent)) @ prod
+
+
+def dense_plaquette_hop_term(link: int, lattice, electric_offset: str, link_amplitude: str) -> np.ndarray:
+    """One plaquette hopping term, P_1 sign U P_1 + h.c., as three dense products of lifted matrices.
+
+    This is the construction ``model._plaquette_hop_term`` replaced; every
+    entry of the model's term must equal it exactly.
+    """
+    from quditgauge.model import electric_values, gauss_projector, link_raise_op
+
+    d = lattice.local_dim
+    table = {0: (1, 0, 1, (0,)), 1: (2, 1, 3, (0, 1)), 2: (1, 2, 3, (2, 1)), 3: (2, 0, 2, (0, 3))}
+    direction, site_a, site_b, marked = table[link]
+    evals = electric_values(d, electric_offset)
+    idx = np.arange(d**4)
+    exponent = np.full(d**4, 0.0 - lattice.site_parity(site_b))
+    for l in marked:
+        exponent += evals[digit(idx, l, d)]
+    sign = np.diag(np.exp(1.0j * np.pi * exponent))
+    overall = 1.0 if direction == 1 else -1.0
+    p_a, p_b = (
+        kron_lift(op.matrix, op.targets, 4, d)
+        for op in (gauss_projector(site, 1, lattice, electric_offset) for site in (site_a, site_b))
+    )
+    u = kron_lift(link_raise_op(d, link_amplitude).matrix, (link,), 4, d)
+    half = overall * (p_a @ sign @ u @ p_b)
+    return half + half.conj().T

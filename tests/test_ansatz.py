@@ -16,14 +16,16 @@ from quditgauge.core import (
     basis_state,
     crot_gate,
     crot_generator,
+    embedded_pauli,
     ms_gate,
     ms_generator,
     plaquette_gate,
     rotation_gate,
     rz_gate,
 )
+from quditgauge.model import plaquette_lattice
 
-from helpers import kron_lift, random_hermitian, random_state
+from helpers import dense_plaquette_loop, kron_lift, random_hermitian, random_state
 
 
 def vacuum(num_qudits):
@@ -149,6 +151,50 @@ GROUP_CIRCUITS = {
 }
 
 
+def fresh_generator(gate) -> np.ndarray:
+    """The gate's generator built anew for this gate alone, as the circuits once built each one."""
+    if gate.kind == "rotation":
+        x, y = (embedded_pauli(3, *gate.levels, axis).matrix for axis in "XY")
+        return (np.cos(gate.phi) * x + np.sin(gate.phi) * y) / 2.0
+    if gate.kind == "rz":
+        return embedded_pauli(3, *gate.levels, "Z").matrix / 2.0
+    if gate.kind == "ms":
+        return ms_generator(3, *gate.levels).matrix
+    if gate.kind == "crot":
+        return crot_generator(3).matrix
+    loop = dense_plaquette_loop(plaquette_lattice(), "symmetric", "unit")
+    return loop + loop.conj().T
+
+
+SETUP_CIRCUITS = {
+    "L7": (lambda: chain_circuit(7, 3, "imag"), 4),
+    "N5-gate": (lambda: plaquette_circuit(5, "real", include_plaquette_gate=True), 10),
+}
+
+
+class TestSharedGenerators:
+    @pytest.mark.parametrize("name", SETUP_CIRCUITS)
+    def test_each_distinct_generator_is_built_once(self, name):
+        make, distinct = SETUP_CIRCUITS[name]
+        circ = make()
+        for g in circ.gates:
+            assert g.generator.targets == g.targets
+            assert np.array_equal(g.generator.matrix, fresh_generator(g)), (g.kind, g.targets)
+        assert len({id(g.generator.matrix) for g in circ.gates}) == distinct
+
+    @pytest.mark.parametrize("name", SETUP_CIRCUITS)
+    def test_shared_generators_are_read_only(self, name):
+        circ = SETUP_CIRCUITS[name][0]()
+        assert not any(g.generator.matrix.flags.writeable for g in circ.gates)
+        first = circ.gates[0]
+        sharing = [g for g in circ.gates[1:] if g.generator.matrix is first.generator.matrix]
+        assert sharing
+        before = first.generator.matrix.copy()
+        with pytest.raises(ValueError):
+            first.generator.matrix[0, 0] = 1.0
+        assert all(np.array_equal(g.generator.matrix, before) for g in sharing)
+
+
 def stage_product(circ, stage, theta):
     """A stage's unitary as the product of its gates' matrices, each on the stage's targets."""
     b = 3 ** len(stage.targets)
@@ -218,14 +264,14 @@ def hand_built_circuit() -> Circuit:
     """
     d = 3
     gates = (
-        Gate("rotation", (1,), 2, _rotation_generator(d, 0, 1, 0.0, 1), (0, 1)),
-        Gate("rz", (1,), 0, _rz_generator(d, 0, 2, 1), (0, 2)),
-        Gate("rotation", (2,), 4, _rotation_generator(d, 1, 2, 0.0, 2), (1, 2)),
-        Gate("rotation", (1,), 2, _rotation_generator(d, 0, 2, np.pi / 2, 1), (0, 2), np.pi / 2),
+        Gate("rotation", (1,), 2, _rotation_generator(d, 0, 1, 0.0).on(1), (0, 1)),
+        Gate("rz", (1,), 0, _rz_generator(d, 0, 2).on(1), (0, 2)),
+        Gate("rotation", (2,), 4, _rotation_generator(d, 1, 2, 0.0).on(2), (1, 2)),
+        Gate("rotation", (1,), 2, _rotation_generator(d, 0, 2, np.pi / 2).on(1), (0, 2), np.pi / 2),
         Gate("ms", (0, 1), 1, ms_generator(d, 1, 2).on(0, 1), (1, 2)),
         Gate("crot", (2, 0), 3, crot_generator(d).on(2, 0)),
-        Gate("rotation", (0,), 5, _rotation_generator(d, 1, 2, np.pi / 2, 0), (1, 2), np.pi / 2),
-        Gate("rz", (0,), 5, _rz_generator(d, 0, 1, 0), (0, 1)),
+        Gate("rotation", (0,), 5, _rotation_generator(d, 1, 2, np.pi / 2).on(0), (1, 2), np.pi / 2),
+        Gate("rz", (0,), 5, _rz_generator(d, 0, 1).on(0), (0, 1)),
     )
     return Circuit(gates, 6, 3, d, 1, "hand")
 
@@ -237,9 +283,9 @@ def four_qudit_circuit(specs) -> Circuit:
     gates = []
     for slot, (kind, *qs) in enumerate(specs):
         if kind == "rot":
-            gen = _rotation_generator(d, 0, 2, np.pi / 2, qs[0])
+            gen = _rotation_generator(d, 0, 2, np.pi / 2).on(qs[0])
         elif kind == "rz":
-            gen = _rz_generator(d, 1, 2, qs[0])
+            gen = _rz_generator(d, 1, 2).on(qs[0])
         elif kind == "ms":
             gen = ms_generator(d, 1, 2).on(*qs)
         elif kind == "crot":
@@ -342,16 +388,16 @@ def every_stage_kind_circuit() -> Circuit:
     d = 3
     loop = plaquette_circuit(1, "real", include_plaquette_gate=True).gates[-1].generator
     gens = [
-        (_rotation_generator(d, 0, 2, np.pi / 2, 1), 0),
-        (_rz_generator(d, 1, 2, 1), 1),
+        (_rotation_generator(d, 0, 2, np.pi / 2).on(1), 0),
+        (_rz_generator(d, 1, 2).on(1), 1),
         (ms_generator(d, 1, 2).on(2, 3), 2),
         (ms_generator(d, 1, 2).on(1, 2), 3),
         (crot_generator(d).on(3, 0), 4),
-        (_rotation_generator(d, 0, 1, 0.0, 0), 5),
-        (_rz_generator(d, 0, 1, 0), 5),
+        (_rotation_generator(d, 0, 1, 0.0).on(0), 5),
+        (_rz_generator(d, 0, 1).on(0), 5),
         (loop, 6),
-        (_rotation_generator(d, 1, 2, 0.0, 3), 0),
-        (_rz_generator(d, 0, 2, 3), 7),
+        (_rotation_generator(d, 1, 2, 0.0).on(3), 0),
+        (_rz_generator(d, 0, 2).on(3), 7),
     ]
     gates = tuple(Gate("rotation", gen.targets, slot, gen) for gen, slot in gens)
     return Circuit(gates, 8, 4, d, 1, "hand")

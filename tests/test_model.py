@@ -27,7 +27,7 @@ from quditgauge.model import (
 )
 from quditgauge.oracle import ground_state
 
-from helpers import kron_lift, random_hermitian
+from helpers import dense_plaquette_hop_term, dense_plaquette_loop, kron_lift, random_hermitian
 
 
 def physical_mask(lattice, num_qudits):
@@ -250,6 +250,35 @@ class TestPlaquetteLoop:
         loop = plaquette_loop_op(plaquette_lattice()).matrix
         s = loop + loop.conj().T
         assert np.max(np.abs(s - s.conj().T)) < 1e-14
+
+
+PLAQUETTE_VARIANTS = [
+    (offset, amplitude, boundary)
+    for offset in ("symmetric", "as_printed")
+    for amplitude in ("unit", "paper_u")
+    for boundary in (0.0, 0.5)
+]
+
+
+class TestPlaquetteDenseReference:
+    """The loop and hopping terms scale the rows and columns of one lift.
+
+    Each entry of the dense products they replace has one nonzero term, so
+    every entry of the two builds must be equal; only the sign of a zero
+    entry may differ.
+    """
+
+    @pytest.mark.parametrize("offset,amplitude,boundary", PLAQUETTE_VARIANTS)
+    def test_four_body_terms_equal_the_dense_products(self, offset, amplitude, boundary):
+        lat = plaquette_lattice(3, boundary)
+        loop = dense_plaquette_loop(lat, offset, amplitude)
+        assert np.array_equal(plaquette_loop_op(lat, offset, amplitude).matrix, loop)
+        ham = plaquette_hamiltonian(1.0, 0.1, offset, amplitude, 1.0, boundary)
+        got = [op.matrix for _, op in ham.terms if len(op.targets) == 4]
+        want = [loop + loop.conj().T] + [dense_plaquette_hop_term(link, lat, offset, amplitude) for link in range(4)]
+        assert len(got) == len(want)
+        for term, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), term
 
 
 class TestPlaquetteHamiltonian:

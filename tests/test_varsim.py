@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quditgauge import core, varsim
 from quditgauge.ansatz import (
     Circuit,
     Gate,
@@ -400,7 +401,7 @@ class TestFactorSolve:
         # one qutrit and six slots: P = 2D, so F is square and only the caller
         # can say that it is a factor and not a metric
         gates = tuple(
-            Gate("rotation", (0,), 2 * k + a, _rotation_generator(3, i, j, phi, 0), (i, j), phi)
+            Gate("rotation", (0,), 2 * k + a, _rotation_generator(3, i, j, phi).on(0), (i, j), phi)
             for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)))
             for a, phi in enumerate((0.0, np.pi / 2))
         )
@@ -472,6 +473,33 @@ def small_vite_config(**kw):
     return RunConfig(**defaults)
 
 
+SETUP_CONFIGS = {
+    "L7": {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 3}},
+    "N5": {
+        "model": {"dimension": 2, "num_links": 4},
+        "ansatz": {"family": "plaquette", "layers": 5, "include_plaquette_gate": True},
+        "evolution": {"mode": "vrte"},
+    },
+}
+
+
+class TestSetup:
+    @pytest.mark.parametrize("name", SETUP_CONFIGS)
+    def test_hermitian_checks_in_from_config(self, monkeypatch, name):
+        # each distinct operator is checked once; when every gate re-checked
+        # its own generator, set-up ran 259 checks on L7 and 490 on N5
+        checked = []
+        original = core.check_hermitian
+
+        def counted(a, what, *args, **kwargs):
+            checked.append(what)
+            return original(a, what, *args, **kwargs)
+
+        monkeypatch.setattr(core, "check_hermitian", counted)
+        ctx = RunContext.from_config(parse_config(SETUP_CONFIGS[name]))
+        assert len(checked) <= 40 < len(ctx.circuit.gates), checked
+
+
 class TestGroundSearch:
     def test_step_releases_its_eom_before_the_next(self):
         # each EOM holds its factor, the P x D tangent bundle; a step that kept
@@ -492,6 +520,41 @@ class TestGroundSearch:
         assert len(recs) == 5
         bundle = ctx.circuit.num_params * ctx.psi0.dim * 16
         assert peak < 3.5 * bundle, peak / bundle
+
+    def test_halved_step_releases_the_rejected_eom(self):
+        # dt = 0.5 overshoots on this chain: steps 0 and 1 halve it once and
+        # step 2 twice; each rejected candidate's EOM (with its tangent
+        # bundle) must be gone before the next candidate's sweep (4.1 bundles
+        # at peak when it is kept)
+        cfg = RunConfig(
+            model=ModelConfig(dimension=1, num_links=7, g=1.0, mass=0.1),
+            ansatz=AnsatzConfig(family="chain", layers=3, init_seed=1),
+            evolution=EvolutionConfig(mode="vite", dt=0.5, steps=3, integrator="euler"),
+        )
+        ctx = RunContext.from_config(cfg)
+        run_ground_search(dataclasses.replace(cfg, evolution=dataclasses.replace(cfg.evolution, steps=1)), ctx)
+        tracemalloc.start()
+        try:
+            recs, _ = run_ground_search(cfg, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.time for r in recs] == [0.0, 0.25, 0.5, 0.625]
+        energies = [r.columns["energy"] for r in recs]
+        assert np.all(np.diff(energies) < 0.0)
+        bundle = ctx.circuit.num_params * ctx.psi0.dim * 16
+        assert peak < 3.5 * bundle, peak / bundle
+
+    def test_non_finite_candidate_halves_the_step(self, monkeypatch):
+        full = 0.02
+
+        def step(theta, deriv, dt, method, k1=None):
+            out = integrate_step(theta, deriv, dt, method, k1)
+            return out * np.nan if dt == full else out
+
+        monkeypatch.setattr(varsim, "integrate_step", step)
+        recs, _ = run_ground_search(small_vite_config(evolution=EvolutionConfig(mode="vite", dt=full, steps=2)))
+        assert [r.time for r in recs] == [0.0, 0.01, 0.02]
 
     def test_energy_monotone(self):
         recs, _ = run_ground_search(small_vite_config())
@@ -569,9 +632,10 @@ class TestGroundSearch:
             small_vite_config(evolution=EvolutionConfig(mode="vite", dt=dt, steps=steps))
         )
         assert len(recs) == steps + 1
-        # no candidate was halved, so each step made one candidate
+        # no candidate was halved, so each step made one candidate, and the
+        # candidate's own sweep both accepted it and gave the next row
         assert [r.time for r in recs] == pytest.approx(dt * np.arange(steps + 1))
-        assert calls == {"tangents": steps + 1, "state": steps}
+        assert calls == {"tangents": steps + 1, "state": 0}
 
 
 class TestNonFiniteFlow:
