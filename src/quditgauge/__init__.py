@@ -9,7 +9,6 @@ from .core import (
     basis_state,
     embedded_pauli,
     entanglement_entropy,
-    fidelity,
     inner,
     reduced_density_matrix,
 )
@@ -18,7 +17,6 @@ from .model import (
     LatticeSpec,
     UnitarySplit,
     chain_hamiltonian,
-    electric_op,
     fermion_number_ops,
     gauss_charge,
     gauss_projector,

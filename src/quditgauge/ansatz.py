@@ -42,12 +42,6 @@ class Gate:
     levels: tuple[int, int] | None = None
     phi: float = 0.0
 
-    def matrix(self, theta: float) -> np.ndarray:
-        """exp(-i theta G), exactly the identity at theta = 0."""
-        if theta == 0.0:
-            return np.eye(self.generator.matrix.shape[0], dtype=complex)
-        return core.hermitian_expm(self.generator.matrix, -1.0j * theta)
-
 
 def _is_adjacent_pair(targets: tuple[int, ...]) -> bool:
     return len(targets) == 2 and targets[1] == targets[0] + 1
@@ -482,7 +476,7 @@ def _rz_generator(d: int, i: int, j: int) -> LocalOperator:
 
 
 # Rotation blocks, listed in application order (rightmost factor first).
-_SHALLOW_BLOCK = [((1, 2), _HALF_PI), ((0, 2), 0.0), ((0, 1), 0.0)]
+_SHALLOW_BLOCK = [("rot", (1, 2), _HALF_PI), ("rot", (0, 2), 0.0), ("rot", (0, 1), 0.0)]
 _DEEP_BLOCK = [
     ("rz", (0, 2)),
     ("rz", (0, 1)),
@@ -503,38 +497,23 @@ def _chain_groups(num_links: int) -> dict[str, list[int]]:
     return {name: qs for name, qs in groups.items() if qs}
 
 
-def _append_shallow_blocks(gates, groups, d, next_slot):
-    slots = {}
-    for name in groups:
-        slots[name] = [next_slot + k for k in range(3)]
-        next_slot += 3
-    for name, qudits in groups.items():
-        for q in qudits:
-            for k, ((i, j), phi) in enumerate(_SHALLOW_BLOCK):
-                gates.append(
-                    Gate("rotation", (q,), slots[name][k], _rotation_generator(d, i, j, phi).on(q), (i, j), phi)
-                )
-    return next_slot
+def _append_blocks(gates, blocks, d, next_slot):
+    """Append one layer's rotation blocks, group by group; ``blocks`` pairs each group's qudits with its block.
 
-
-def _append_deep_blocks(gates, groups, edge_names, d, next_slot):
-    slots = {}
-    for name in groups:
-        width = 4 if name in edge_names else 8
-        slots[name] = [next_slot + k for k in range(width)]
-        next_slot += width
-    for name, qudits in groups.items():
-        block = _DEEP_EDGE_BLOCK if name in edge_names else _DEEP_BLOCK
+    A group's qudits share one slot per block entry.
+    """
+    for qudits, block in blocks:
         for q in qudits:
             for k, spec in enumerate(block):
                 if spec[0] == "rz":
                     i, j = spec[1]
-                    gates.append(Gate("rz", (q,), slots[name][k], _rz_generator(d, i, j).on(q), (i, j)))
+                    gates.append(Gate("rz", (q,), next_slot + k, _rz_generator(d, i, j).on(q), (i, j)))
                 else:
                     _, (i, j), phi = spec
                     gates.append(
-                        Gate("rotation", (q,), slots[name][k], _rotation_generator(d, i, j, phi).on(q), (i, j), phi)
+                        Gate("rotation", (q,), next_slot + k, _rotation_generator(d, i, j, phi).on(q), (i, j), phi)
                     )
+        next_slot += len(block)
     return next_slot
 
 
@@ -551,6 +530,10 @@ def chain_circuit(num_links: int, layers: int, mode: str) -> Circuit:
         raise ValueError(f"mode must be 'imag' or 'real', got {mode!r}")
     d = 3
     groups = _chain_groups(num_links)
+    if mode == "imag":
+        blocks = [(qudits, _SHALLOW_BLOCK) for qudits in groups.values()]
+    else:
+        blocks = [(qudits, _DEEP_EDGE_BLOCK if name == "edge" else _DEEP_BLOCK) for name, qudits in groups.items()]
     gates: list[Gate] = []
     next_slot = 0
     # Entangling on the (1, 2) subspace: from the all-|1> vacuum this is the
@@ -559,10 +542,7 @@ def chain_circuit(num_links: int, layers: int, mode: str) -> Circuit:
     ms_levels = (1, 2)
     ms_gen = ms_generator(d, *ms_levels)
     for _ in range(layers):
-        if mode == "imag":
-            next_slot = _append_shallow_blocks(gates, groups, d, next_slot)
-        else:
-            next_slot = _append_deep_blocks(gates, groups, {"edge"}, d, next_slot)
+        next_slot = _append_blocks(gates, blocks, d, next_slot)
         bond_slots = {0: next_slot, 1: next_slot + 1}
         next_slot += 2
         for q in range(num_links - 1):
@@ -590,7 +570,7 @@ def plaquette_circuit(
     if mode not in ("imag", "real"):
         raise ValueError(f"mode must be 'imag' or 'real', got {mode!r}")
     d = 3
-    groups = {f"link{q}": [q] for q in range(4)}
+    blocks = [([q], _DEEP_BLOCK) for q in range(4)]
     gates: list[Gate] = []
     next_slot = 0
     loop_gen = None
@@ -600,7 +580,7 @@ def plaquette_circuit(
         loop_gen = LocalOperator(d, (0, 1, 2, 3), loop.matrix + loop.matrix.conj().T, hermitian=True)
     crot_gen = crot_generator(d)
     for _ in range(layers):
-        next_slot = _append_deep_blocks(gates, groups, set(), d, next_slot)
+        next_slot = _append_blocks(gates, blocks, d, next_slot)
         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
             gates.append(Gate("crot", (a, b), next_slot, crot_gen.on(a, b)))
             next_slot += 1

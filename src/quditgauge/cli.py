@@ -43,8 +43,12 @@ def _write_json(path: Path, payload: dict, cfg_hash: str):
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
+    """The output directory, created before the command does any work."""
     path = Path(override) if override else Path(cfg.output.directory)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise ConfigError(f"cannot create the output directory {str(path)!r}: {exc}") from exc
     return path
 
 
@@ -63,24 +67,26 @@ def _write_run(cfg: RunConfig, out: Path, records: list[varsim.TrajectoryRecord]
 def cmd_ground(cfg: RunConfig, out_override: str | None) -> int:
     if cfg.evolution.mode != "vite":
         raise ConfigError("the ground command requires evolution.mode = 'vite'")
+    out = _out_dir(cfg, out_override)
     records, ctx = varsim.run_ground_search(cfg)
     extra = {"grad_norm": records[-1].columns["grad_norm"], "ground_energy": ctx.spectrum.ground_energy}
-    _write_run(cfg, _out_dir(cfg, out_override), records, "tau", extra)
+    _write_run(cfg, out, records, "tau", extra)
     return 0
 
 
 def cmd_quench(cfg: RunConfig, out_override: str | None) -> int:
     if cfg.evolution.mode != "vrte":
         raise ConfigError("the quench command requires evolution.mode = 'vrte'")
+    out = _out_dir(cfg, out_override)
     records, _ = varsim.run_quench(cfg)
-    _write_run(cfg, _out_dir(cfg, out_override), records, "t", {"designated_site": varsim.designated_site(cfg)})
+    _write_run(cfg, out, records, "t", {"designated_site": varsim.designated_site(cfg)})
     return 0
 
 
 def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
+    out = _out_dir(cfg, out_override)
     ctx = varsim.RunContext.from_config(cfg)
     cfg_hash = config_hash(cfg)
-    out = _out_dir(cfg, out_override)
     spec = ctx.spectrum
     _write_json(
         out / "spectrum.json",
@@ -105,9 +111,9 @@ def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     # Checked before the context builds the Hamiltonian and its spectrum.
     if 3**cfg.model.num_links > 243:
         raise ConfigError("measure-check is meant for small models (L=3 or the plaquette)")
+    out = _out_dir(cfg, out_override)
     ctx = varsim.RunContext.from_config(cfg)
     cfg_hash = config_hash(cfg)
-    out = _out_dir(cfg, out_override)
     circuit = ctx.circuit
     npar = circuit.num_params
     theta = random_initial_params(circuit, cfg.ansatz.init_seed, cfg.ansatz.init_range)

@@ -188,13 +188,11 @@ def load_config(path: str | Path) -> RunConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
+        raise ConfigError(f"cannot read the config {str(path)!r}: {exc}") from exc
     return parse_config(data)
 
 
-def config_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(config_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

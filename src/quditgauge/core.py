@@ -12,16 +12,15 @@ from typing import Sequence
 
 import numpy as np
 
-UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 ENTROPY_EIG_FLOOR = 1e-14
 
 
 def check_hermitian(a: np.ndarray, what: str, atol: float = 0.0, rtol: float = 0.0) -> None:
-    """Raise ValueError unless max|A - A^dag| < atol + rtol * max(1, max|A|); A may be a stack of matrices."""
+    """Raise ValueError unless max|A - A^dag| <= atol + rtol * max(1, max|A|); A may be a stack of matrices."""
     err = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
     bound = atol + (rtol * max(1.0, float(np.max(np.abs(a)))) if rtol else 0.0)
-    if err >= bound:
+    if err > bound:
         raise ValueError(f"{what} is not Hermitian: ||A - A^dag||_max = {err:.3e}")
 
 
@@ -43,12 +42,6 @@ class QuditRegister:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "QuditRegister":
-        return replace(self, amplitudes=self.amplitudes.copy())
 
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qudit, qudit 0 last."""
@@ -151,39 +144,6 @@ def level_projector(d: int, m: int) -> LocalOperator:
     return LocalOperator(d, (0,), mat, hermitian=True)
 
 
-def rotation_gate(d: int, i: int, j: int, theta: float, phi: float) -> LocalOperator:
-    """Two-level rotation exp(-i theta/2 (cos phi X + sin phi Y)) on levels (i, j)."""
-    if not 0 <= i < j < d:
-        raise ValueError(f"need 0 <= i < j < d, got i={i}, j={j}, d={d}")
-    m = np.eye(d, dtype=complex)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    m[i, i] = c
-    m[j, j] = c
-    m[i, j] = -1.0j * s * np.exp(-1.0j * phi)
-    m[j, i] = -1.0j * s * np.exp(1.0j * phi)
-    return LocalOperator(d, (0,), m)
-
-
-def rz_gate(d: int, i: int, j: int, theta: float) -> LocalOperator:
-    """Diagonal rotation exp(-i theta/2 Z) on levels (i, j)."""
-    if not 0 <= i < j < d:
-        raise ValueError(f"need 0 <= i < j < d, got i={i}, j={j}, d={d}")
-    diag = np.ones(d, dtype=complex)
-    diag[i] = np.exp(-1.0j * theta / 2.0)
-    diag[j] = np.exp(1.0j * theta / 2.0)
-    return LocalOperator(d, (0,), np.diag(diag))
-
-
-def ms_gate(d: int, i: int, j: int, theta: float) -> LocalOperator:
-    """Two-qudit Molmer-Sorensen gate on the (i, j) two-level subspace."""
-    gen = ms_generator(d, i, j)
-    if theta == 0.0:
-        mat = np.eye(d * d, dtype=complex)
-    else:
-        mat = hermitian_expm(gen.matrix, -1.0j * theta)
-    return LocalOperator(d, (0, 1), mat)
-
-
 def ms_generator(d: int, i: int, j: int) -> LocalOperator:
     """Hermitian generator (X (x) 1 + 1 (x) X)^2 / 4 of the MS gate."""
     sx = embedded_pauli(d, i, j, "X").matrix
@@ -192,32 +152,12 @@ def ms_generator(d: int, i: int, j: int) -> LocalOperator:
     return LocalOperator(d, (0, 1), (s @ s) / 4.0, hermitian=True)
 
 
-def crot_gate(theta: float, d: int = 3) -> LocalOperator:
-    """Controlled rotation: exp(-i theta/2 X^{1,2}) on the target when the control is |2>."""
-    if d != 3:
-        raise ValueError("CROT is defined for qutrits (d = 3)")
-    mat = np.eye(9, dtype=complex)
-    block = rotation_gate(3, 1, 2, theta, 0.0).matrix
-    mat[6:9, 6:9] = block
-    return LocalOperator(3, (0, 1), mat)
-
-
 def crot_generator(d: int = 3) -> LocalOperator:
     if d != 3:
         raise ValueError("CROT is defined for qutrits (d = 3)")
     gen = np.zeros((9, 9), dtype=complex)
     gen[6:9, 6:9] = embedded_pauli(3, 1, 2, "X").matrix / 2.0
     return LocalOperator(3, (0, 1), gen, hermitian=True)
-
-
-def plaquette_gate(theta: float, plaq_op: LocalOperator) -> LocalOperator:
-    """Four-qudit entangler exp(-i theta S) generated by a Hermitian loop sum S."""
-    check_hermitian(plaq_op.matrix, "plaquette generator", atol=1e-10)
-    if theta == 0.0:
-        mat = np.eye(plaq_op.matrix.shape[0], dtype=complex)
-    else:
-        mat = hermitian_expm(plaq_op.matrix, -1.0j * theta)
-    return LocalOperator(plaq_op.local_dim, plaq_op.targets, mat)
 
 
 _ONE_GEMM_BLOCK = 27  # widest lifted block a single or adjacent-pair kernel applies as one GEMM
@@ -300,6 +240,8 @@ def batch_kernel(num_qudits: int, d: int, targets: Sequence[int]):
     return run
 
 
+# apply's one caller, measure.hadamard_test, runs in no command; both stay
+# because the benchmark's tracer (perfbench/child.py) wraps them by name.
 def apply(state: QuditRegister, op: LocalOperator) -> QuditRegister:
     """Apply a local operator by strided contraction over its target qudits."""
     if op.local_dim != state.local_dim:
@@ -317,10 +259,6 @@ def inner(a: QuditRegister, b: QuditRegister) -> complex:
     if a.amplitudes.shape != b.amplitudes.shape:
         raise ValueError("register shapes differ")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: QuditRegister, b: QuditRegister) -> float:
-    return float(abs(inner(a, b)) ** 2)
 
 
 def reduced_density_matrix(state: QuditRegister, subset: Sequence[int]) -> np.ndarray:
@@ -348,16 +286,8 @@ def entanglement_entropy(state: QuditRegister, cut: Sequence[int]) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-def sample_counts(state: QuditRegister, shots: int, rng_seed: int) -> np.ndarray:
-    """Multinomial basis-measurement histogram; deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(rng_seed)
-    return rng.multinomial(shots, probs)
-
-
+# No run path calls hermitian_expm: it stays because the benchmark's tracer
+# (perfbench/child.py) wraps it by name, and the tests' gate references use it.
 def hermitian_expm(a: np.ndarray, factor: complex) -> np.ndarray:
     """exp(factor * a) for Hermitian ``a`` through its eigendecomposition."""
     w, v = np.linalg.eigh(a)

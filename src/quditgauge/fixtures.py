@@ -80,10 +80,6 @@ def load_fixtures() -> dict[str, dict]:
         return {rec["name"]: rec for rec in json.load(fh)}
 
 
-def fixture_value(name: str) -> float:
-    return float(load_fixtures()[name]["value"])
-
-
 def verify_fixtures() -> list[str]:
     """Recompute everything and report drifted records; empty means clean."""
     committed = load_fixtures()

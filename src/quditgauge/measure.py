@@ -188,10 +188,6 @@ def fit_fourier(plan: ShiftPlan, values: Sequence[float]) -> np.ndarray:
     return np.linalg.solve(plan.design, values.astype(complex))
 
 
-def fourier_value(plan: ShiftPlan, coeffs: np.ndarray, a: float) -> float:
-    return float(np.real(np.sum(coeffs * np.exp(1.0j * a * plan.frequencies))))
-
-
 def fourier_derivative(plan: ShiftPlan, coeffs: np.ndarray, order: int = 1) -> float:
     """Analytical derivative of the fitted sum at zero shift."""
     return float(np.real(np.sum(coeffs * (1.0j * plan.frequencies) ** order)))
@@ -295,6 +291,8 @@ def hadamard_test(
     The ancilla starts in (|0> + e^{i alpha} |1>)/sqrt(2).  Its |0> branch
     runs the uncontrolled steps and its |1> branch every step; <W> is the
     overlap of the two branches, and P(+) = (1 + Re(e^{i alpha} <W>))/2.
+    No command calls it; it stays because the benchmark's tracer wraps it
+    by name.
     """
     idle = word = psi0
     for op, controlled in steps:
@@ -326,10 +324,6 @@ class HadamardTests:
     def counts(self) -> np.ndarray:
         """The number of tests of each element."""
         return np.bincount(self.bins // 3, minlength=self.elements)
-
-    def element(self, e: int) -> "HadamardTests":
-        keep = self.bins // 3 == e
-        return HadamardTests(self.word[keep], self.phase[keep], self.coef[keep], self.bins[keep] % 3, 1)
 
 
 def _tests(parts, elements: int) -> HadamardTests:
@@ -483,7 +477,9 @@ def element_from_hadamard(
     kind 'VI': i <[G~_mu, H~]>_0
     kind 'VR': <{G~_mu, H~}>_0 - 2 <G~_mu>_0 <H~>_0
 
-    It reads its own tests of the route's EOM; M (mu, nu) and (nu, mu) are one element.
+    The value is the element's entry of ``hadamard_eom``'s M or vector, so
+    with shots the call draws every test of the EOM.  No command calls it;
+    it stays because the benchmark's tracer wraps it by name.
     """
     if kind == "M":
         if nu is None:
@@ -497,16 +493,9 @@ def element_from_hadamard(
     for slot in (mu,) if nu is None else (mu, nu):
         if not 0 <= slot < npar:
             raise ValueError(f"slot {slot} out of range for {npar} parameters")
-    if kind == "M":
-        mu, nu = sorted((mu, nu))
-        e = mu * npar - mu * (mu - 1) // 2 + nu - mu  # the upper triangle, row by row
-    else:
-        e = npar * (npar + 1) // 2 + mu
     route = hadamard_plan(circuit, ham_pieces or ())
-    words = _read_words(route, theta, psi0)[1]
-    rng = np.random.default_rng(seed) if shots is not None else None
-    tests = route.tests["real" if kind == "VR" else "imag"].element(e)
-    return float(_element_values(kind, _term_sums(tests, words, shots, rng))[0])
+    eom = hadamard_eom(route, theta, psi0, "real" if kind == "VR" else "imag", shots, seed)
+    return float(eom.m[mu, nu] if kind == "M" else eom.v[mu])
 
 
 def hadamard_eom(
@@ -562,15 +551,6 @@ def _connected_anticommutators(values, mean0, traces, phi: np.ndarray, psi0: np.
     values, mean0 = values - traces / dim, mean0 - traces / dim
     weights = (dim + 2.0) * np.abs(phi @ psi0.conj()) ** 2 - 1.0
     return dim * (dim + 1.0) / samples * (values.T * weights) @ values - 2.0 * np.outer(mean0, mean0)
-
-
-def randomized_connected_anticommutator(a: np.ndarray, b: np.ndarray, psi0: np.ndarray, samples: int, rng) -> float:
-    """Connected anticommutator <{A, B}>_0 - 2<A>_0<B>_0 from ``samples`` random-unitary snapshots."""
-    phi = _snapshot_draw(psi0.size, samples, rng)
-    values = np.column_stack([np.einsum("si,ij,sj->s", phi.conj(), op, phi).real for op in (a, b)])
-    mean0 = np.array([np.vdot(psi0, op @ psi0).real for op in (a, b)])
-    traces = np.trace([a, b], axis1=1, axis2=2).real
-    return float(_connected_anticommutators(values, mean0, traces, phi, psi0)[0, 1])
 
 
 def randomized_eom(

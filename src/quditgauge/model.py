@@ -128,11 +128,6 @@ def electric_values(d: int, convention: str) -> np.ndarray:
     raise ValueError(f"unknown electric convention {convention!r}")
 
 
-def electric_op(d: int, convention: str = "symmetric") -> LocalOperator:
-    """Diagonal electric-field operator on one link."""
-    return LocalOperator(d, (0,), np.diag(electric_values(d, convention)).astype(complex), hermitian=True)
-
-
 def link_amplitudes(d: int, amplitude: str) -> np.ndarray:
     if amplitude == "unit":
         return np.ones(d - 1)
@@ -210,25 +205,7 @@ def gauss_projector(site, value: int, lattice: LatticeSpec, convention: str = "s
 
 def fermion_number_ops(lattice: LatticeSpec, convention: str = "symmetric") -> list[LocalOperator]:
     """Per-site charge observables; on physical states these are the matter occupations."""
-    if lattice.dimension == 1:
-        sites = range(lattice.num_sites)
-    else:
-        sites = range(4)
-    return [gauss_charge(site, lattice, convention) for site in sites]
-
-
-def hopping_sign(direction: int, e_values: Sequence[float]) -> int:
-    """Direction-dependent +-1 prefactor from the marked electric fields."""
-    if direction == 1:
-        if len(e_values) != 2:
-            raise ValueError("horizontal hopping marks two fields")
-    elif direction == 2:
-        if len(e_values) != 4:
-            raise ValueError("vertical hopping marks four fields")
-    else:
-        raise ValueError(f"direction must be 1 or 2, got {direction}")
-    total = int(round(float(sum(e_values))))
-    return 1 if total % 2 == 0 else -1
+    return [gauss_charge(site, lattice, convention) for site in range(lattice.num_sites)]
 
 
 def _hop_pieces(parity: int, d: int, amplitude: str):
@@ -261,6 +238,24 @@ def hopping_term(x: int, lattice: LatticeSpec, link_amplitude: str = "unit") -> 
     return LocalOperator(d, (x - 1, x, x + 1), mat, hermitian=True)
 
 
+def _link_terms(
+    lattice: LatticeSpec, coupling: float, mass: float, mass_signs: Sequence[float], convention: str
+) -> list[tuple[float, LocalOperator]]:
+    """Each link's electric term (g^2/2) E^2, then its mass term 2 m s E, link by link.
+
+    ``oracle._entries`` sums the single-link terms in this order, so the
+    order fixes the floating-point sums of the sector build.
+    """
+    evals = electric_values(lattice.local_dim, convention)
+    e_op = LocalOperator(lattice.local_dim, (0,), np.diag(evals).astype(complex), hermitian=True)
+    e2_op = LocalOperator(lattice.local_dim, (0,), np.diag(evals**2).astype(complex), hermitian=True)
+    terms: list[tuple[float, LocalOperator]] = []
+    for link, sign in enumerate(mass_signs):
+        terms.append((coupling**2 / 2.0, e2_op.on(link)))
+        terms.append((2.0 * mass * sign, e_op.on(link)))
+    return terms
+
+
 def chain_hamiltonian(
     num_links: int,
     coupling: float,
@@ -277,13 +272,7 @@ def chain_hamiltonian(
     ``hopping_scale`` multiplies it.
     """
     lattice = chain_lattice(num_links, 3, boundary)
-    evals = np.diag(electric_op(3, electric_offset).matrix)
-    e_op = LocalOperator(3, (0,), np.diag(evals), hermitian=True)
-    e2_op = LocalOperator(3, (0,), np.diag(evals**2), hermitian=True)
-    terms: list[tuple[float, LocalOperator]] = []
-    for x in range(num_links):
-        terms.append((coupling**2 / 2.0, e2_op.on(x)))
-        terms.append((2.0 * mass * (-1.0) ** x, e_op.on(x)))
+    terms = _link_terms(lattice, coupling, mass, [(-1.0) ** x for x in range(num_links)], electric_offset)
     for x in range(1, num_links - 1):
         terms.append((0.5 * hopping_scale, hopping_term(x, lattice, link_amplitude)))
     return HamiltonianSpec(
@@ -360,16 +349,9 @@ def plaquette_hamiltonian(
 ) -> HamiltonianSpec:
     """Single-plaquette Hamiltonian: electric + magnetic + mass + projected hopping."""
     lattice = plaquette_lattice(3, boundary)
-    d = lattice.local_dim
-    evals = electric_values(d, electric_offset)
-    e_op = LocalOperator(d, (0,), np.diag(evals).astype(complex), hermitian=True)
-    e2_op = LocalOperator(d, (0,), np.diag(evals**2).astype(complex), hermitian=True)
-    terms: list[tuple[float, LocalOperator]] = []
-    for link in range(4):
-        terms.append((coupling**2 / 2.0, e2_op.on(link)))
-        terms.append((2.0 * mass * _PLAQ_MASS_SIGN[link], e_op.on(link)))
+    terms = _link_terms(lattice, coupling, mass, _PLAQ_MASS_SIGN, electric_offset)
     loop = plaquette_loop_op(lattice, electric_offset, link_amplitude)
-    magnetic = LocalOperator(d, (0, 1, 2, 3), loop.matrix + loop.matrix.conj().T, hermitian=True)
+    magnetic = LocalOperator(lattice.local_dim, (0, 1, 2, 3), loop.matrix + loop.matrix.conj().T, hermitian=True)
     terms.append((-1.0 / (2.0 * coupling**2), magnetic))
     for link in range(4):
         terms.append(
@@ -459,7 +441,8 @@ def materialize(ham: HamiltonianSpec) -> np.ndarray:
     """Dense matrix of the full Hamiltonian.
 
     The run path uses `oracle.sector_spectrum`; this build is the independent
-    reference the tests and the fixture bootstrap check it against.
+    reference the tests and the fixture bootstrap check it against, and the
+    benchmark's tracer wraps it by name.
     """
     n = ham.num_qudits
     d = ham.lattice.local_dim

@@ -1,4 +1,4 @@
-"""Exact reference computations: block spectra, exact time evolution, finite differences.
+"""Exact reference computations: block spectra and exact time evolution.
 
 Gauss's law splits the Hamiltonian's nonzero pattern into small connected
 components of the basis, since the hopping conserves the local charges.
@@ -194,7 +194,11 @@ def sector_spectrum(ham: HamiltonianSpec) -> Spectrum:
 
 
 def eigendecompose(h: np.ndarray) -> Spectrum:
-    """Spectrum of a dense Hermitian matrix, as one block."""
+    """Spectrum of a dense Hermitian matrix, as one block.
+
+    The fixture bootstrap reads it through ``ground_state``, and the
+    benchmark's tracer wraps it by name.
+    """
     if h.shape[0] > DIM_CAP:
         raise CapError(f"dimension {h.shape[0]} exceeds the dense cap {DIM_CAP}")
     return Spectrum([SizeClass.diagonalize(np.arange(h.shape[0])[None, :], h[None])])
@@ -209,34 +213,3 @@ def ground_state(h: np.ndarray) -> tuple[float, np.ndarray, int]:
 def evolve_real(spec: Spectrum, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) |psi0> from a precomputed spectrum."""
     return spec.apply(lambda w: np.exp(-1.0j * w * t), psi0)
-
-
-def evolve_imag(spec: Spectrum, psi0: np.ndarray, tau: float) -> np.ndarray:
-    """Normalized exp(-H tau) |psi0>; the spectrum is shifted for stability."""
-    out = spec.apply(lambda w: np.exp(-(w - spec.ground_energy) * tau), psi0)
-    norm = np.linalg.norm(out)
-    if norm < 1e-300:
-        raise ValueError("imaginary-time evolution annihilated the state")
-    return out / norm
-
-
-def finite_difference(
-    f: Callable[[np.ndarray], float],
-    theta: np.ndarray,
-    mu: int,
-    order: int = 1,
-    h: float = 1e-5,
-) -> float:
-    """Central difference of a scalar function along one coordinate."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    theta = np.asarray(theta, dtype=float)
-    up = theta.copy()
-    dn = theta.copy()
-    up[mu] += h
-    dn[mu] -= h
-    if order == 1:
-        return (f(up) - f(dn)) / (2.0 * h)
-    if order == 2:
-        return (f(up) - 2.0 * f(theta) + f(dn)) / h**2
-    raise ValueError(f"order must be 1 or 2, got {order}")

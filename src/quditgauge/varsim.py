@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class TrajectoryRecord:
 
 
 def exact_eom(
-    circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum | None, psi0: QuditRegister, kind: str
+    circuit: Circuit, theta, ham: np.ndarray | oracle.Spectrum, psi0: QuditRegister, kind: str
 ) -> EomQuantities:
     """Metric and flow vector of ``kind``, as a factor and its preimage, from one tangent sweep.
 
@@ -59,17 +59,14 @@ def exact_eom(
     whose float view F (P x 2D) has F F^T = M.  The flow vector's preimage
     r, with F r = v, is the float view of 2 (H - E) psi for ``kind='imag'``
     (v = dE/dtheta) and of -2i (H - E) psi for ``kind='real'``.  ``ham`` is
-    a dense matrix or a ``Spectrum``; ``ham=None`` stands for H = 0, which
-    leaves the metric alone.  Every inner product is read in the tangent
-    plan's middle frame, where the sweep applies the fewest rows.
+    a dense matrix or a ``Spectrum``.  Every inner product is read in the
+    tangent plan's middle frame, where the sweep applies the fewest rows.
     """
     if kind not in ("imag", "real"):
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
-    if ham is not None and ham.shape[0] != psi0.dim:
+    if ham.shape[0] != psi0.dim:
         raise ValueError("Hamiltonian dimension does not match the register")
     psi, tang, ref = circuit.tangents(theta, psi0, circuit.tangent_plan.middle, ham)
-    if ham is None:
-        ref = np.concatenate([ref, np.zeros_like(ref)])
     rows = tang.T  # the sweep's own gather, one row per slot
     energy = float(np.vdot(ref[0], ref[1]).real)
     rows -= (rows @ ref[0].conj())[:, None] * ref[0]  # <psi|t_mu> psi
@@ -391,18 +388,3 @@ def run_quench(cfg: RunConfig, ctx: RunContext | None = None):
             break
         theta = integrate_step(theta, deriv, ev.dt, ev.integrator, k1=dot)
     return records, ctx
-
-
-def oscillation_period(times: Sequence[float], values: Sequence[float]) -> float:
-    """Peak-to-peak spacing of a sampled oscillating series."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    peaks = [
-        i
-        for i in range(1, len(v) - 1)
-        if v[i] >= v[i - 1] and v[i] > v[i + 1]
-    ]
-    if len(peaks) < 2:
-        raise ValueError("fewer than two maxima in the series")
-    gaps = np.diff(t[peaks])
-    return float(np.mean(gaps))

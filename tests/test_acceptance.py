@@ -15,7 +15,6 @@ from quditgauge.core import LocalOperator, basis_state
 from quditgauge.measure import (
     ShiftPlans,
     element_from_hadamard,
-    randomized_connected_anticommutator,
     shift_eom,
 )
 from quditgauge.model import (
@@ -25,18 +24,24 @@ from quditgauge.model import (
     plaquette_hamiltonian,
     unitary_split,
 )
-from quditgauge.oracle import eigendecompose, finite_difference
+from quditgauge.oracle import eigendecompose
 from quditgauge.varsim import (
     RunContext,
     build_circuit,
     designated_site,
     exact_eom,
-    oscillation_period,
     run_ground_search,
     run_quench,
 )
 
-from helpers import random_hermitian, random_state
+from helpers import (
+    finite_difference,
+    metric,
+    oscillation_period,
+    random_hermitian,
+    random_state,
+    randomized_connected_anticommutator,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -256,7 +261,7 @@ class TestCriterion6EstimatorEquivalence:
             npar = circ.num_params
             for draw in range(10):
                 theta = rng.uniform(-np.pi, np.pi, npar)
-                m = exact_eom(circ, theta, None, psi0, "imag").m
+                m = metric(circ, theta, psi0)
                 vi = exact_eom(circ, theta, ham, psi0, "imag").v
                 vr = exact_eom(circ, theta, ham, psi0, "real").v
                 shift = shift_eom(ShiftPlans(circ), theta, psi0, spectrum)
@@ -310,7 +315,7 @@ class TestCriterion7DerivativeCorrectness:
             for _ in range(10):
                 theta = rng.uniform(-np.pi, np.pi, circ.num_params)
                 grad = exact_eom(circ, theta, ham, psi0, "imag").v
-                m = exact_eom(circ, theta, None, psi0, "imag").m
+                m = metric(circ, theta, psi0)
                 mu = int(rng.integers(circ.num_params))
                 nu = int(rng.integers(circ.num_params))
                 worst = max(

@@ -11,21 +11,22 @@ from quditgauge.ansatz import (
     plaquette_circuit,
     random_initial_params,
 )
-from quditgauge.core import (
-    QuditRegister,
-    basis_state,
+from quditgauge.core import QuditRegister, basis_state, crot_generator, embedded_pauli, ms_generator
+from quditgauge.model import plaquette_lattice
+
+from helpers import (
     crot_gate,
-    crot_generator,
-    embedded_pauli,
+    dense_plaquette_loop,
+    gate_matrix,
+    kron_lift,
     ms_gate,
-    ms_generator,
+    norm,
     plaquette_gate,
+    random_hermitian,
+    random_state,
     rotation_gate,
     rz_gate,
 )
-from quditgauge.model import plaquette_lattice
-
-from helpers import dense_plaquette_loop, kron_lift, random_hermitian, random_state
 
 
 def vacuum(num_qudits):
@@ -88,7 +89,7 @@ class TestStateEvaluation:
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
         full = np.eye(27, dtype=complex)
         for g in circ.gates:
-            full = kron_lift(g.matrix(theta[g.slot]), g.targets, 3, 3) @ full
+            full = kron_lift(gate_matrix(g, theta[g.slot]), g.targets, 3, 3) @ full
         want = full @ psi0.amplitudes
         got = circ.state(theta, psi0).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
@@ -97,7 +98,7 @@ class TestStateEvaluation:
         circ = plaquette_circuit(2, "real", include_plaquette_gate=True)
         rng = np.random.default_rng(3)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        assert circ.state(theta, vacuum(4)).norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(circ.state(theta, vacuum(4))) == pytest.approx(1.0, abs=1e-12)
 
     def test_parameter_count_checked(self):
         circ = chain_circuit(3, 1, "imag")
@@ -138,10 +139,10 @@ class TestGateMatrices:
         rng = np.random.default_rng(37)
         for g in circ.gates:
             for theta in rng.uniform(-np.pi, np.pi, 3):
-                err = np.max(np.abs(g.matrix(theta) - closed_form(g, theta)))
+                err = np.max(np.abs(gate_matrix(g, theta) - closed_form(g, theta)))
                 assert err < 1e-13, (name, g.kind, g.targets, theta)
             dim = g.generator.matrix.shape[0]
-            assert np.array_equal(g.matrix(0.0), np.eye(dim)), (name, g.kind, g.targets)
+            assert np.array_equal(gate_matrix(g, 0.0), np.eye(dim)), (name, g.kind, g.targets)
 
 
 GROUP_CIRCUITS = {
@@ -201,7 +202,7 @@ def stage_product(circ, stage, theta):
     out = np.eye(b, dtype=complex)
     for p in stage.positions:
         gate = circ.gates[p]
-        m = gate.matrix(theta[gate.slot])
+        m = gate_matrix(gate, theta[gate.slot])
         if gate.targets != stage.targets:
             m = np.kron(m, np.eye(3)) if gate.targets[0] == stage.targets[0] else np.kron(np.eye(3), m)
         out = m @ out
@@ -242,7 +243,7 @@ class TestGroupGateTable:
 def dense_tangents(circ, theta, psi0):
     """Product-rule reference: the dense circuit with -iG inserted after each gate, summed per slot."""
     n, d = circ.num_qudits, circ.local_dim
-    lifted = [kron_lift(g.matrix(theta[g.slot]), g.targets, n, d) for g in circ.gates]
+    lifted = [kron_lift(gate_matrix(g, theta[g.slot]), g.targets, n, d) for g in circ.gates]
     tang = np.zeros((psi0.dim, circ.num_params), dtype=complex)
     state = psi0.amplitudes
     for p, g in enumerate(circ.gates):
@@ -425,7 +426,7 @@ class TestSweepFrames:
         psi0 = QuditRegister(n, d, random_state(dim, rng))
         block = np.stack([random_state(dim, rng) for _ in range(3)])  # k = 3 input states, swept together
         ham = random_hermitian(dim, rng)
-        gate = [kron_lift(g.matrix(theta[g.slot]), g.targets, n, d) for g in circ.gates]
+        gate = [kron_lift(gate_matrix(g, theta[g.slot]), g.targets, n, d) for g in circ.gates]
         # rows at the output as maps of the input, in gate order: the circuit with O inserted after gate p
         branches = np.zeros((8, dim, dim), dtype=complex)
         for p, inserted in enumerate(ops):
@@ -503,7 +504,7 @@ class TestTangents:
         for pos in positions:
             state = psi0.amplitudes
             for p, g in enumerate(circ.gates):
-                state = kron_lift(g.matrix(theta[g.slot]), g.targets, 3, 3) @ state
+                state = kron_lift(gate_matrix(g, theta[g.slot]), g.targets, 3, 3) @ state
                 if p == pos:
                     state = -1j * kron_lift(g.generator.matrix, g.targets, 3, 3) @ state
             total += state

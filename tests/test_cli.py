@@ -269,7 +269,6 @@ class TestExactCommand:
         spec = json.loads((out / "spectrum.json").read_text())
         w = spec["lowest_eigenvalues"]
         assert all(a <= b + 1e-12 for a, b in zip(w, w[1:]))
-        from quditgauge.fixtures import fixture_value
         # L=3 has no committed fixture; the ground energy is still embedded
         assert spec["ground_energy"] == pytest.approx(-0.26032778079, abs=1e-9)
         header, rows = read_csv(out / "exact.csv")
@@ -519,6 +518,46 @@ class TestAllocationTooLarge:
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("allocation too large: ") and proc.stderr.count("\n") == 1
+
+
+class TestFileErrors:
+    """A config or output path the CLI cannot use exits 2 with one line, before any work."""
+
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file", "out-under-a-file"])
+    def test_exits_2_without_traceback(self, tmp_path, case):
+        cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
+        out = tmp_path / "o"
+        if case == "config-is-a-directory":
+            cfg_path = tmp_path
+        elif case == "config-not-utf8":
+            cfg_path.write_bytes(b"\xff\xfe" + cfg_path.read_bytes())
+        elif case == "out-is-a-file":
+            out.write_text("", encoding="utf-8")
+        else:
+            (tmp_path / "f").write_text("", encoding="utf-8")
+            out = tmp_path / "f" / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditgauge.cli", "ground", "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["ground", "quench", "exact", "measure-check"])
+    def test_output_directory_is_checked_before_the_model_is_built(self, tmp_path, monkeypatch, capsys, command):
+        def refuse(cls, cfg):
+            raise AssertionError("the run context was built")
+
+        monkeypatch.setattr(RunContext, "from_config", classmethod(refuse))
+        cfg_path = write_config(tmp_path, "c.json", SMALL_QUENCH if command == "quench" else SMALL_GROUND)
+        out = tmp_path / "o"
+        out.write_text("", encoding="utf-8")
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error: cannot create the output directory" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -7,31 +7,37 @@ from quditgauge.core import (
     apply,
     basis_state,
     batch_kernel,
-    crot_gate,
+    check_hermitian,
     embedded_pauli,
     entanglement_entropy,
-    fidelity,
     inner,
     lift_diagonal,
     lift_operator,
-    ms_gate,
     ms_generator,
-    plaquette_gate,
     reduced_density_matrix,
-    rotation_gate,
-    rz_gate,
-    sample_counts,
 )
 from quditgauge.model import plaquette_lattice, plaquette_loop_op
 
-from helpers import kron_lift, random_state, series_expm
+from helpers import (
+    crot_gate,
+    fidelity,
+    kron_lift,
+    ms_gate,
+    norm,
+    plaquette_gate,
+    random_state,
+    rotation_gate,
+    rz_gate,
+    sample_counts,
+    series_expm,
+)
 
 
 class TestBasisState:
     def test_single_qutrit(self):
         s = basis_state(1, 3, [1])
         assert np.argmax(np.abs(s.amplitudes)) == 1
-        assert s.norm() == pytest.approx(1.0)
+        assert norm(s) == pytest.approx(1.0)
 
     def test_two_qutrits_little_endian(self):
         s = basis_state(2, 3, [1, 1])
@@ -229,7 +235,7 @@ class TestApply:
             else:
                 op = crot_gate(theta).on(1, 0)
             s = apply(s, op)
-            assert abs(s.norm() - 1.0) < 1e-12
+            assert abs(norm(s) - 1.0) < 1e-12
 
     def test_target_out_of_range(self):
         s = basis_state(2, 3, [0, 0])
@@ -278,6 +284,24 @@ class TestLift:
         got = lift_diagonal(op, 3)
         want = np.diag(kron_lift(np.diag(diag).astype(complex), (0, 2), 3, 3))
         assert np.allclose(got, want)
+
+
+class TestCheckHermitian:
+    def test_exactly_hermitian_passes_at_default_tolerances(self):
+        check_hermitian(np.eye(3), "x")
+
+    def test_any_asymmetry_fails_at_default_tolerances(self):
+        a = np.eye(3, dtype=complex)
+        a[0, 1] = 1e-300
+        with pytest.raises(ValueError, match="x is not Hermitian"):
+            check_hermitian(a, "x")
+
+    def test_error_at_the_bound_passes(self):
+        a = np.eye(2, dtype=complex)
+        a[0, 1] = 0.5
+        check_hermitian(a, "x", atol=0.5)
+        with pytest.raises(ValueError):
+            check_hermitian(a, "x", atol=0.25)
 
 
 class TestOverlaps:

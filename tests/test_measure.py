@@ -19,9 +19,7 @@ from quditgauge.measure import (
     element_from_hadamard,
     fit_fourier,
     fourier_derivative,
-    fourier_value,
     hadamard_test,
-    randomized_connected_anticommutator,
     shift_eom,
 )
 from quditgauge.model import (
@@ -34,7 +32,17 @@ from quditgauge.model import (
 from quditgauge.oracle import eigendecompose
 from quditgauge.varsim import RunContext, exact_eom, make_estimator
 
-from helpers import hadamard_eom_reference, kron_lift, random_hermitian, random_state, series_expm
+from helpers import (
+    fourier_value,
+    gate_matrix,
+    hadamard_eom_reference,
+    kron_lift,
+    metric,
+    random_hermitian,
+    random_state,
+    randomized_connected_anticommutator,
+    series_expm,
+)
 from test_ansatz import hand_built_circuit
 
 
@@ -250,7 +258,7 @@ class TestMetricFromShifts:
         rng = np.random.default_rng(13)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-            m_exact = exact_eom(circ, theta, None, psi0, "imag").m
+            m_exact = metric(circ, theta, psi0)
             m = shift_eom(ShiftPlans(circ), theta, psi0, spec).m
             for mu, nu in [(0, 0), (2, 2), (0, 1), (2, 5), (4, 7)]:
                 assert m[mu, nu] == pytest.approx(m_exact[mu, nu], abs=1e-8), (mu, nu)
@@ -259,7 +267,7 @@ class TestMetricFromShifts:
         circ, ham, psi0 = small_chain
         theta = np.random.default_rng(14).uniform(-np.pi, np.pi, circ.num_params)
         got = shift_eom(ShiftPlans(circ), theta, psi0, eigendecompose(ham))
-        want = exact_eom(circ, theta, None, psi0, "imag").m
+        want = metric(circ, theta, psi0)
         assert np.max(np.abs(got.m - want)) < 1e-8
         assert np.array_equal(got.psi.amplitudes, circ.state(theta, psi0).amplitudes)
 
@@ -282,7 +290,7 @@ class TestMetricFromShifts:
         circ, ham, psi0 = small_chain
         spec = eigendecompose(ham)
         theta = np.random.default_rng(16).uniform(-1, 1, circ.num_params)
-        exact = exact_eom(circ, theta, None, psi0, "imag").m[1, 1]
+        exact = metric(circ, theta, psi0)[1, 1]
         shots, plans = 2000, ShiftPlans(circ)
         draws = np.array([shift_eom(plans, theta, psi0, spec, shots=shots, seed=s).m[1, 1] for s in range(100)])
         se = draws.std(ddof=1) / np.sqrt(len(draws))
@@ -369,7 +377,7 @@ class TestElementFromHadamard:
         circ, _, psi0 = small_chain
         rng = np.random.default_rng(21)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        m = exact_eom(circ, theta, None, psi0, "imag").m
+        m = metric(circ, theta, psi0)
         for mu, nu in [(0, 0), (1, 3), (2, 6), (7, 7)]:
             got = element_from_hadamard("M", circ, theta, mu, nu, None, psi0)
             assert got == pytest.approx(m[mu, nu], abs=1e-8), (mu, nu)
@@ -415,7 +423,7 @@ class TestElementFromHadamard:
             (split.norm / 2, split.unitary),
             (split.norm / 2, split.unitary.dagger()),
         ]
-        u = circ.gates[0].matrix(theta[0])
+        u = gate_matrix(circ.gates[0], theta[0])
         g_t = u.conj().T @ gen.matrix @ u
         h_t = u.conj().T @ h @ u
         want_comm = (1j * np.vdot(psi, (g_t @ h_t - h_t @ g_t) @ psi)).real
@@ -452,9 +460,9 @@ class TestElementFromHadamard:
     def test_shot_mean_within_three_standard_errors(self, small_chain):
         circ, _, psi0 = small_chain
         theta = np.random.default_rng(43).uniform(-np.pi, np.pi, circ.num_params)
-        exact = exact_eom(circ, theta, None, psi0, "imag").m[4, 5]  # two gates per slot: 16 pair words
+        exact = metric(circ, theta, psi0)[4, 5]  # two gates per slot: 16 pair words
         draws = np.array(
-            [element_from_hadamard("M", circ, theta, 4, 5, None, psi0, shots=2000, seed=s) for s in range(200)]
+            [element_from_hadamard("M", circ, theta, 4, 5, None, psi0, shots=2000, seed=s) for s in range(1000)]
         )
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert se < abs(exact) / 10

@@ -3,19 +3,16 @@ import numpy as np
 import pytest
 
 from quditgauge.core import LocalOperator, basis_state, lift_diagonal, lift_operator
-from quditgauge.fixtures import fixture_value
 from quditgauge.model import (
     CapError,
     chain_hamiltonian,
     chain_lattice,
-    electric_op,
     electric_values,
     fermion_number_ops,
     gauss_charge,
     gauss_diagonal,
     gauss_projector,
     hamiltonian_unitary_pieces,
-    hopping_sign,
     hopping_term,
     hopping_unitary_terms,
     link_raise_op,
@@ -27,7 +24,7 @@ from quditgauge.model import (
 )
 from quditgauge.oracle import ground_state
 
-from helpers import dense_plaquette_hop_term, dense_plaquette_loop, kron_lift, random_hermitian
+from helpers import dense_plaquette_hop_term, dense_plaquette_loop, fixture_value, kron_lift, random_hermitian
 
 
 def physical_mask(lattice, num_qudits):
@@ -41,11 +38,11 @@ def physical_mask(lattice, num_qudits):
 
 class TestElectricAndLink:
     def test_as_printed_diag(self):
-        assert np.allclose(np.diag(electric_op(3, "as_printed").matrix), [-3, -2, -1])
+        assert np.allclose(electric_values(3, "as_printed"), [-3, -2, -1])
 
     def test_symmetric_diag(self):
-        assert np.allclose(np.diag(electric_op(3, "symmetric").matrix), [-1, 0, 1])
-        assert np.allclose(np.diag(electric_op(2, "symmetric").matrix), [-0.5, 0.5])
+        assert np.allclose(electric_values(3, "symmetric"), [-1, 0, 1])
+        assert np.allclose(electric_values(2, "symmetric"), [-0.5, 0.5])
 
     def test_paper_amplitudes(self):
         u = link_raise_op(3, "paper_u").matrix
@@ -203,24 +200,6 @@ class TestChainHamiltonian:
             chain_hamiltonian(2, 1.0, 0.1)
 
 
-class TestHoppingSign:
-    def test_zero_fields(self):
-        assert hopping_sign(1, [0, 0]) == 1
-        assert hopping_sign(2, [0, 0, 0, 0]) == 1
-
-    def test_single_unit_field(self):
-        assert hopping_sign(1, [1, 0]) == -1
-
-    def test_even_parity(self):
-        assert hopping_sign(2, [1, 1, 0, 0]) == 1
-
-    def test_arity_checks(self):
-        with pytest.raises(ValueError):
-            hopping_sign(1, [1, 0, 0])
-        with pytest.raises(ValueError):
-            hopping_sign(3, [0, 0])
-
-
 class TestPlaquetteLoop:
     def test_adjoint_is_reversed_orientation(self):
         lat = plaquette_lattice()
@@ -245,6 +224,17 @@ class TestPlaquetteLoop:
         out = loop @ vac
         target = basis_state(4, 3, [2, 2, 0, 0]).amplitudes
         assert np.allclose(out, target)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the four-body matrices are in register order (qudit 3 most significant) but labelled "
+        "with targets (0, 1, 2, 3), so every lift acts on the plaquette's mirror image",
+    )
+    def test_lifted_loop_acts_on_the_intended_links(self):
+        # U_0 U_1 U_2^dag U_3^dag raises bottom (qudit 0) and right (1) and lowers top (2) and left (3);
+        # the lift gives levels (0, 0, 2, 2) on qudits 0-3
+        out = lift_operator(plaquette_loop_op(plaquette_lattice()), 4) @ basis_state(4, 3, [1, 1, 1, 1]).amplitudes
+        assert np.allclose(out, basis_state(4, 3, [2, 2, 0, 0]).amplitudes)
 
     def test_loop_sum_hermitian(self):
         loop = plaquette_loop_op(plaquette_lattice()).matrix

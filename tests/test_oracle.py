@@ -6,17 +6,9 @@ import pytest
 
 from quditgauge.core import embedded_pauli
 from quditgauge.model import CapError, chain_hamiltonian, gauss_charge, materialize, plaquette_hamiltonian
-from quditgauge.oracle import (
-    Spectrum,
-    eigendecompose,
-    evolve_imag,
-    evolve_real,
-    finite_difference,
-    ground_state,
-    sector_spectrum,
-)
+from quditgauge.oracle import Spectrum, eigendecompose, evolve_real, ground_state, sector_spectrum
 
-from helpers import random_hermitian, random_state
+from helpers import evolve_imag, finite_difference, fixture_value, random_hermitian, random_state
 
 
 def eigenvector_matrix(spec):
@@ -53,8 +45,6 @@ class TestEigendecompose:
         assert energy == 1.0 and mult == 2
 
     def test_model_ground_energies(self):
-        from quditgauge.fixtures import fixture_value
-
         h = materialize(chain_hamiltonian(7, 1.0, 0.1))
         energy, _, _ = ground_state(h)
         assert energy == pytest.approx(fixture_value("chain_L7_ground_energy"), abs=1e-9)

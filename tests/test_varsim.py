@@ -17,20 +17,28 @@ from quditgauge.ansatz import (
 from quditgauge.config import AnsatzConfig, EvolutionConfig, ModelConfig, RunConfig, parse_config
 from quditgauge.core import LocalOperator, basis_state, embedded_pauli
 from quditgauge.model import chain_hamiltonian, materialize
-from quditgauge.oracle import Spectrum, evolve_imag, evolve_real, finite_difference
+from quditgauge.oracle import Spectrum, evolve_real
 from quditgauge.varsim import (
     RunContext,
     _checked_flow,
     exact_eom,
     integrate_step,
     make_estimator,
-    oscillation_period,
     run_ground_search,
     run_quench,
     solve_flow,
 )
 
-from helpers import kron_lift, random_hermitian, random_state
+from helpers import (
+    evolve_imag,
+    finite_difference,
+    gate_matrix,
+    kron_lift,
+    metric,
+    oscillation_period,
+    random_hermitian,
+    random_state,
+)
 
 
 def vacuum(n):
@@ -53,7 +61,7 @@ class TestMetricExact:
         psi = random_state(3, rng)
         reg = basis_state(n, 3, [0]).__class__(n, 3, psi)
         theta = np.array([0.37])
-        m = exact_eom(circ, theta, None, reg, "imag").m
+        m = metric(circ, theta, reg)
         g = gen.matrix
         want = np.vdot(psi, g @ g @ psi).real - np.vdot(psi, g @ psi).real ** 2
         assert m[0, 0] == pytest.approx(want, abs=1e-12)
@@ -64,7 +72,7 @@ class TestMetricExact:
         gen = LocalOperator(3, (0,), embedded_pauli(3, 1, 2, "X").matrix / 2.0, hermitian=True)
         circ = single_gate_circuit(gen, 1)
         reg = basis_state(1, 3, [0])
-        m = exact_eom(circ, np.array([0.9]), None, reg, "imag").m
+        m = metric(circ, np.array([0.9]), reg)
         assert abs(m[0, 0]) < 1e-14
 
     def test_matches_mixed_overlap_curvature(self):
@@ -73,7 +81,7 @@ class TestMetricExact:
         psi0 = vacuum(3)
         rng = np.random.default_rng(4)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        m = exact_eom(circ, theta, None, psi0, "imag").m
+        m = metric(circ, theta, psi0)
         h = 1e-4
 
         def overlap(a, b, mu, nu):
@@ -103,7 +111,7 @@ class TestMetricExact:
         circ = plaquette_circuit(1, "imag")
         rng = np.random.default_rng(8)
         theta = rng.uniform(-np.pi, np.pi, circ.num_params)
-        m = exact_eom(circ, theta, None, vacuum(4), "imag").m
+        m = metric(circ, theta, vacuum(4))
         assert np.max(np.abs(m - m.T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(m)) > -1e-9
 
@@ -225,7 +233,7 @@ class TestRealTimeVector:
         full = np.eye(27, dtype=complex)
         prefixes = []
         for g in circ.gates:
-            full = kron_lift(g.matrix(theta[g.slot]), g.targets, 3, 3) @ full
+            full = kron_lift(gate_matrix(g, theta[g.slot]), g.targets, 3, 3) @ full
             prefixes.append(full.copy())
         h_tilde = full.conj().T @ ham @ full
         amps = psi0.amplitudes
@@ -421,7 +429,7 @@ class TestFactorSolve:
 
     def test_metric_formed_only_when_read(self):
         circ = chain_circuit(3, 4, "real")
-        eom = exact_eom(circ, np.zeros(circ.num_params), None, vacuum(3), "imag")
+        eom = exact_eom(circ, np.zeros(circ.num_params), np.zeros((27, 27)), vacuum(3), "imag")
         assert eom.metric is None and "m" not in eom.__dict__
         m = eom.m
         assert m.shape == (circ.num_params, circ.num_params) and eom.m is m
@@ -667,7 +675,7 @@ class TestNonFiniteFlow:
         circ = chain_circuit(3, 4, "real")
 
         def est(theta, kind):
-            eom = exact_eom(circ, theta, None, vacuum(3), kind)
+            eom = exact_eom(circ, theta, np.zeros((27, 27)), vacuum(3), kind)
             bad = eom.factor.copy()
             bad[0, 0] = np.nan
             return dataclasses.replace(eom, factor=bad)
