@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, fixtures, measure, model, varsim
 from .ansatz import random_initial_params
-from .config import ConfigError, RunConfig, config_hash, load_config, validate_config
+from .config import MEASURE_CHECK_MAX_DIM, ConfigError, RunConfig, config_hash, load_config, validate_config
 from .model import CapError
 
 EXIT_CONFIG = 2
@@ -109,8 +109,10 @@ def cmd_exact(cfg: RunConfig, out_override: str | None) -> int:
 
 def cmd_measure_check(cfg: RunConfig, out_override: str | None) -> int:
     # Checked before the context builds the Hamiltonian and its spectrum.
-    if 3**cfg.model.num_links > 243:
-        raise ConfigError("measure-check is meant for small models (L=3 or the plaquette)")
+    if 3**cfg.model.num_links > MEASURE_CHECK_MAX_DIM:
+        raise ConfigError(
+            f"measure-check is limited to dimension <= {MEASURE_CHECK_MAX_DIM} (a chain of at most 5 links)"
+        )
     out = _out_dir(cfg, out_override)
     ctx = varsim.RunContext.from_config(cfg)
     cfg_hash = config_hash(cfg)

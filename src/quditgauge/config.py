@@ -14,6 +14,9 @@ _MAX_SHOTS = 2**63 - 1
 # Largest register the randomized estimator runs on.  At 2,000 snapshots the relative error of M is 1.26
 # on the L=3 chain (D = 27) and 11.2 on the L=5 chain (D = 243), so D = 243 needs about 90 times the snapshots.
 RANDOMIZED_MAX_DIM = 81
+# Largest register measure-check runs on (the L=5 chain; the plaquette has D = 81): it simulates every
+# metric and vector element through the shift and Hadamard routes, noiseless and with shots.
+MEASURE_CHECK_MAX_DIM = 243
 
 
 class ConfigError(ValueError):

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import check_hermitian
+from .core import _layout, check_hermitian
 from .model import DIM_CAP, CapError, HamiltonianSpec
 
 DEGENERACY_ATOL = 1e-10
@@ -110,21 +110,13 @@ class Spectrum:
         return float(np.sum(self.weights(psi)[: self.ground_multiplicity()]))
 
 
-def _offsets(d: int, qudits: Sequence[int]) -> np.ndarray:
-    """Global index of every configuration of ``qudits``, qudits[0] most significant, the rest at level 0."""
-    out = np.zeros(1, dtype=np.int64)
-    for q in qudits:
-        out = (out[:, None] + d**q * np.arange(d)).ravel()
-    return out
-
-
 def _entries(ham: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global (row, col, value) of every nonzero of H.
 
     The single-qudit diagonal terms (electric and mass) come first, summed
     per qudit and broadcast into one entry per basis state; then every other
-    term's nonzero local entries, in term order.  A local index puts
-    targets[0] most significant; a global index is little-endian.
+    term's nonzero local entries, in term order, placed at every
+    configuration of the other qudits through the register layout map.
     """
     n, d = ham.num_qudits, ham.lattice.local_dim
     on_site = np.zeros((n, d), dtype=complex)
@@ -134,12 +126,10 @@ def _entries(ham: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if len(op.targets) == 1 and (i == j).all():
             on_site[op.targets[0]] += coef * op.matrix.diagonal()
             continue
-        # Every state with the targets at level 0, plus the offset of each local configuration.
-        rest = _offsets(d, [q for q in range(n) if q not in op.targets])
-        offset = _offsets(d, op.targets)
-        rows.append((rest[:, None] + offset[i]).ravel())
-        cols.append((rest[:, None] + offset[j]).ravel())
-        vals.append((np.zeros((rest.size, 1)) + coef * op.matrix[i, j]).ravel())
+        order = _layout(n, d, op.targets)
+        rows.append(order[:, i].ravel())
+        cols.append(order[:, j].ravel())
+        vals.append((np.zeros((order.shape[0], 1)) + coef * op.matrix[i, j]).ravel())
     diag = np.zeros((d,) * n, dtype=complex)
     for q in range(n):  # qudit q is axis n-1-q of the C-ordered state array
         diag += on_site[q].reshape((d,) + (1,) * q)

@@ -418,7 +418,7 @@ class TestErrorPaths:
         cfg_path = write_config(tmp_path, "c.json", SMALL_GROUND)
         assert main(["ground", "--config", str(cfg_path), "--seed", "-2", "--out", str(tmp_path / "o")]) == 2
 
-    def test_measure_check_rejects_large_model_before_building_it(self, tmp_path, monkeypatch):
+    def test_measure_check_rejects_large_model_before_building_it(self, tmp_path, monkeypatch, capsys):
         from quditgauge import model, oracle
 
         def refuse(ham):
@@ -430,6 +430,7 @@ class TestErrorPaths:
         data = {"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 1}}
         cfg_path = write_config(tmp_path, "c.json", data)
         assert main(["measure-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "measure-check is limited to dimension <= 243 (a chain of at most 5 links)" in capsys.readouterr().err
 
 
     def test_randomized_dimension_limit_is_a_config_error(self, tmp_path, monkeypatch, capsys):

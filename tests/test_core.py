@@ -20,6 +20,7 @@ from quditgauge.model import plaquette_lattice, plaquette_loop_op
 
 from helpers import (
     crot_gate,
+    digit,
     fidelity,
     kron_lift,
     ms_gate,
@@ -245,24 +246,32 @@ class TestApply:
 
 # On five qutrits the qudits below a single or an adjacent pair number 0..4,
 # so the trailing axis runs 1, 3, 9, 27, 81 and the lifted block
-# d^k * 3^t falls on both sides of the one-GEMM bound.
+# d^k * 3^t falls on both sides of the one-GEMM bound.  The other target
+# sets (descending, non-adjacent, three qudits, the whole register) take
+# the gather path.
 FIVE_QUDIT_TARGETS = (
-    [(t,) for t in range(5)] + [(t, t + 1) for t in range(4)] + [(3, 1), (4, 2, 0, 1, 3)]
+    [(t,) for t in range(5)]
+    + [(t, t + 1) for t in range(4)]
+    + [(3, 1), (0, 2), (1, 2, 3), (4, 2, 0, 1, 3)]
 )
 
 
 class TestBatchKernel:
-    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize(
+        "batch, stack", [(1, None), (7, None), (1, 3), (7, 3)], ids=["1", "7", "1-stack3", "7-stack3"]
+    )
     @pytest.mark.parametrize("targets", FIVE_QUDIT_TARGETS, ids=str)
-    def test_every_branch_against_kron_oracle(self, targets, batch):
+    def test_every_branch_against_kron_oracle(self, targets, batch, stack):
         d, n = 3, 5
         rng = np.random.default_rng(13)
         size = d ** len(targets)
-        mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        shape = (size, size) if stack is None else (stack, size, size)
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows = rng.standard_normal((batch, d**n)) + 1j * rng.standard_normal((batch, d**n))
         got = batch_kernel(n, d, targets)(rows, mat)
-        want = rows @ kron_lift(mat, targets, n, d).T
-        assert got.shape == rows.shape
+        # A stack returns every matrix's rows in turn, matrix-major.
+        want = np.concatenate([rows @ kron_lift(m, targets, n, d).T for m in mat.reshape(-1, size, size)])
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -275,7 +284,8 @@ class TestLift:
             mat = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
             got = lift_operator(LocalOperator(d, targets, mat), n)
             want = kron_lift(mat, targets, n, d)
-            assert np.allclose(got, want, atol=1e-13), targets
+            # A lift only places the matrix's entries, so it is exact.
+            assert np.array_equal(got, want), targets
 
     def test_lift_diagonal(self):
         rng = np.random.default_rng(4)
@@ -364,6 +374,15 @@ class TestEntropy:
         psi = random_state(27, rng)
         s = basis_state(3, 3, [0] * 3).__class__(3, 3, psi)
         rho = reduced_density_matrix(s, [0, 2])
+        # Explicit partial trace over qudit 1: the subset's lower qudit is
+        # the more significant local digit, and rho_ij = sum psi_i psi_j^*.
+        idx = np.arange(27)
+        local, traced = digit(idx, 0, 3) * 3 + digit(idx, 2, 3), digit(idx, 1, 3)
+        want = np.zeros((9, 9), dtype=complex)
+        for a in idx:
+            for b in idx[traced == traced[a]]:
+                want[local[a], local[b]] += psi[a] * np.conj(psi[b])
+        assert np.max(np.abs(rho - want)) < 1e-15
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
         with pytest.raises(ValueError):
