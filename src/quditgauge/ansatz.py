@@ -141,28 +141,33 @@ class GroupInserts:
         return ops if self.starts is None else np.add.reduceat(ops, self.starts)
 
 
-def _selection(rows: list[int]):
-    """Bundle rows 1 + ``rows`` (row 0 holds the state or H psi) as a slice where they are contiguous."""
-    if not rows:
+def _selection(places: list[int]):
+    """Buffer places as a slice where they run in steps of one either way, else as an index array."""
+    if not places:
         return None
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0] + 1, rows[0] + 1 + len(rows))
-    return np.array(rows) + 1
+    step = 1 if len(places) == 1 or places[1] > places[0] else -1
+    if places == list(range(places[0], places[0] + step * len(places), step)):
+        return slice(places[0], places[0] + step * len(places), step)
+    return np.array(places)
 
 
 @dataclass(frozen=True)
 class RowPlan:
-    """Local matrices inserted after gates, each feeding one bundle row of a sweep.
+    """Local matrices inserted after gates, each feeding one row of a sweep's buffer.
 
     ``groups[g]`` holds the inserts on the circuit's stage group g.  Rows
     are numbered twice: forward, in the order the stages first touch them
-    from the circuit's start, and backward, from its end.  ``fwd[s]`` and
-    ``bwd[s]`` select stage s's rows in each numbering (None when it has
-    none); ``fwd_live[s]`` counts the rows touched before stage s and
-    ``bwd_live[s]`` those touched at stage s or later.  ``order[key]`` is
-    the forward row of key ``key`` and ``meet[r]`` that of backward row r.
-    ``middle`` is the frame that needs the fewest row applications for a
-    sweep that also pulls H psi back.
+    from the circuit's start, and backward, from its end.  ``fwd_live[s]``
+    counts the rows touched before stage s and ``bwd_live[s]`` those
+    touched at stage s or later.  A sweep's buffer holds the state, then
+    forward row f at place 1 + f, and from its back H psi (last), then
+    backward row j at place -2 - j; ``fwd[s]`` and ``bwd[s]`` select stage
+    s's places (None when it has none).  ``order[key]`` is the forward row
+    of key ``key``, and the row a sweep returns it in; ``meet[j]`` is that
+    of backward row j.  ``middle`` is the frame that needs the fewest row
+    applications for a sweep that also pulls H psi back.  ``held[m]``
+    counts the rows per input state that a sweep in frame m holds at its
+    peak.
     """
 
     groups: tuple[GroupInserts, ...]
@@ -173,6 +178,7 @@ class RowPlan:
     order: np.ndarray
     meet: np.ndarray
     middle: int
+    held: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -306,15 +312,21 @@ class Circuit:
         count = [len(here) for here in touched]
         ahead = np.cumsum([0] + [1 + fwd_live[s] + count[s] for s in range(last)])
         behind = np.cumsum([0] + [2 + bwd_live[s] + count[s] for s in range(last - 1, -1, -1)])[::-1]
+        held = [  # the buffer, and on top of it the widest kernel output or the gather that closes its gap
+            2 + fwd_live[m] + bwd_live[m]
+            + max(count + fwd_live[:m] + [1 + live for live in bwd_live[m:last]] + [len(fwd_row) - fwd_live[m]])
+            for m in range(last + 1)
+        ]
         return RowPlan(
             tuple(self._group_inserts(group, touched) for group in self.stage_groups),
-            tuple(_selection([fwd_row[key] for key in here]) for here in touched),
-            tuple(_selection([bwd_row[key] for key in here]) for here in touched),
+            tuple(_selection([1 + fwd_row[key] for key in here]) for here in touched),
+            tuple(_selection([-2 - bwd_row[key] for key in here]) for here in touched),
             tuple(fwd_live),
             tuple(bwd_live),
             np.array([fwd_row[key] for key in sorted(fwd_row)], dtype=np.intp),
             np.array([fwd_row[key] for key in bwd_row], dtype=np.intp),
             int(np.argmin(ahead + behind)),
+            tuple(held),
         )
 
     def _group_inserts(self, group: StageGroup, touched: list[dict]) -> GroupInserts:
@@ -371,22 +383,25 @@ class Circuit:
         """State and every row of ``plan``, in the frame before stage ``frame``.
 
         Returns (psi, rows, ref).  psi is the circuit's output state.
-        rows[key] sums, over the insertions with that key, the circuit run
-        from psi0 with O inserted after its gate, pulled back through the
-        stages from ``frame`` on (by default none: the output frame).  ref
-        stacks the state in that frame and, given ``ham`` (anything with
-        ``@``), H psi pulled back with the rows; inner products do not
-        depend on the frame.  ``psi0`` is a register or a (k, D) block of
-        inputs, carried together by every kernel call: psi, rows and ref then
-        gain a k axis.
+        rows[plan.order[key]] sums, over the insertions with that key, the
+        circuit run from psi0 with O inserted after its gate, pulled back
+        through the stages from ``frame`` on (by default none: the output
+        frame).  ref stacks the state in that frame and, given ``ham``
+        (anything with ``@``), H psi pulled back with the rows; inner
+        products do not depend on the frame.  ``psi0`` is a register or a
+        (k, D) block of inputs, carried together by every kernel call: psi,
+        rows and ref then gain a k axis.
 
-        The stages before the frame run forward: each pushes the state, and
-        the rows in use in a second kernel call, through its unitary, then
-        adds its stacked inserts, applied to the new state in one call, into
-        its rows.  The state runs on to the end.  The stages from the frame on
+        Every row lives in one buffer, laid out as ``RowPlan`` says.  The
+        stages before the frame run forward: each pushes the state, and the
+        rows in use in a second kernel call, through its unitary, then adds
+        its stacked inserts, applied to the new state in one call, into its
+        rows.  The state runs on to the end.  The stages from the frame on
         then run backward: each adds its inserts, applied to its output
-        state, into its rows and pulls H psi and the rows in use back.  With
-        no plan, rows is empty.
+        state, into its rows and pulls H psi and the rows in use back in one
+        call.  A row touched on both sides then adds its backward part into
+        its forward row, and the rows touched only from the frame on close
+        the gap.  With no plan, rows is empty.
         """
         theta = self._check_theta(theta)
         if plan is None:
@@ -398,34 +413,37 @@ class Circuit:
         block = psi0.amplitudes[None] if isinstance(psi0, QuditRegister) else np.asarray(psi0)
         k, dim = block.shape
         us, bs = self._stage_matrices(theta, plan)
-        # every row in forward numbering, after the state; rows first
-        # touched from the frame on stay zero until the backward rows meet them
-        fwd = np.zeros((1 + plan.order.size, k, dim), dtype=complex)
-        fwd[0] = block
+        front, back = plan.fwd_live[m], plan.bwd_live[m]
+        buf = np.zeros((2 + front + back, k, dim), dtype=complex)
+        end = len(buf) - 1  # H psi's place
+        buf[0] = block
         for s in range(m):
             kernel, live = stages[s].kernel, 1 + plan.fwd_live[s]
-            fwd[0] = kernel(fwd[0], us[s])  # alone, so every sweep gives the same state bit for bit
+            buf[0] = kernel(buf[0], us[s])  # alone, so every sweep gives the same state bit for bit
             if live > 1:
-                fwd[1:live] = kernel(fwd[1:live].reshape(-1, dim), us[s]).reshape(-1, k, dim)
+                buf[1:live] = kernel(buf[1:live].reshape(-1, dim), us[s]).reshape(-1, k, dim)
             if bs[s] is not None:
-                fwd[plan.fwd[s]] += kernel(fwd[0], bs[s]).reshape(-1, k, dim)
-        outs = [fwd[0]]
+                buf[plan.fwd[s]] += kernel(buf[0], bs[s]).reshape(-1, k, dim)
+        outs = [buf[0]]
         for s in range(m, last):
             outs.append(stages[s].kernel(outs[-1], us[s]))
         psi = outs[-1].copy()
-        back = np.zeros((1 + plan.bwd_live[m], k, dim), dtype=complex)
-        first = 1
+        stop = end
         if ham is not None:
-            back[0], first = (ham @ psi.T).T, 0
+            buf[end], stop = (ham @ psi.T).T, end + 1
         for s in range(last - 1, m - 1, -1):
-            kernel, live, out = stages[s].kernel, 1 + plan.bwd_live[s], outs.pop()
+            kernel, live, out = stages[s].kernel, end - plan.bwd_live[s], outs.pop()
             if bs[s] is not None:
-                back[plan.bwd[s]] += kernel(out, bs[s]).reshape(-1, k, dim)
-            if live > first:
-                back[first:live] = kernel(back[first:live].reshape(-1, dim), us[s].conj().T).reshape(-1, k, dim)
-        fwd[1 + plan.meet[: len(back) - 1]] += back[1:]
-        ref = fwd[:1].copy() if ham is None else np.stack([fwd[0], back[0]])
-        rows = fwd[1 + plan.order]
+                buf[plan.bwd[s]] += kernel(out, bs[s]).reshape(-1, k, dim)
+            if live < stop:
+                buf[live:stop] = kernel(buf[live:stop].reshape(-1, dim), us[s].conj().T).reshape(-1, k, dim)
+        meet = plan.meet[:back]
+        for j in np.flatnonzero(meet < front):
+            buf[1 + meet[j]] += buf[end - 1 - j]
+        after = np.flatnonzero(meet >= front)
+        buf[1 + meet[after]] = buf[end - 1 - after]  # gathered first: the sources overlap the places
+        ref = buf[[0] if ham is None else [0, end]]
+        rows = buf[1 : 1 + plan.order.size]
         if isinstance(psi0, QuditRegister):
             return QuditRegister(psi0.num_qudits, self.local_dim, psi[0]), rows[:, 0], ref[:, 0]
         return psi, rows, ref
@@ -440,10 +458,11 @@ class Circuit:
     def tangents(self, theta: Sequence[float], psi0: QuditRegister | np.ndarray, frame: int | None = None, ham=None):
         """State and all tangent vectors in one sweep.
 
-        Returns (psi, T, ref) where T[:, mu] = d|psi>/d theta_mu, the sum
-        over the gates sharing slot mu of the product rule, in the frame
-        before stage ``frame``; ``psi0``, ``frame`` and ``ham`` act as in
-        ``sweep``, and for a block T[:, j, mu] is input state j's tangent.
+        Returns (psi, T, ref) where T[:, order[mu]] = d|psi>/d theta_mu,
+        with ``order`` = ``tangent_plan.order``, the sum over the gates
+        sharing slot mu of the product rule, in the frame before stage
+        ``frame``; ``psi0``, ``frame`` and ``ham`` act as in ``sweep``, and
+        for a block T[:, j, order[mu]] is input state j's tangent.
         """
         psi, rows, ref = self.sweep(theta, psi0, self.tangent_plan, frame, ham)
         return psi, rows.T, ref

@@ -45,17 +45,21 @@ from .model import unitary_split
 from .oracle import Spectrum
 
 RANK_COND_LIMIT = 1e8
-_SNAPSHOT_BYTES = 16 * 2**20  # one sweep block of randomized snapshots, (P + 1) D 16 B each; measured in CHANGES.md
+# one sweep block of randomized snapshots, each D 16 B per row that the sweep holds (RowPlan.held);
+# measured in CHANGES.md
+_SNAPSHOT_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
 class EomQuantities:
     """Metric and flow vector at theta, with the state and its energy <psi|H|psi>.
 
-    ``factor`` is None, or F (P x n) such that M = F F^T, and ``target`` is
-    then r (n entries) with F r = v.  ``varsim.exact_eom`` always returns
-    the factor, with ``metric`` None; the estimator routes return M itself
-    as ``metric``.  ``m`` reads the metric either way.
+    ``factor`` is None, or F (P x n) such that M = F F^T with M's slots
+    permuted: slot mu's row of F is ``order[mu]``, and ``target`` is r (n
+    entries) with F r = v in that row order.  ``varsim.exact_eom`` always
+    returns the factor, with ``metric`` None; the estimator routes return M
+    itself as ``metric``.  ``m`` reads the metric and ``v`` holds the
+    vector in slot order either way.
     """
 
     metric: np.ndarray | None
@@ -64,11 +68,12 @@ class EomQuantities:
     energy: float
     factor: np.ndarray | None = None
     target: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     @functools.cached_property
     def m(self) -> np.ndarray:
-        """M: ``metric``, or F F^T formed from ``factor`` on first read."""
-        return self.factor @ self.factor.T if self.metric is None else self.metric
+        """M: ``metric``, or F F^T formed from ``factor`` on first read and put in slot order."""
+        return (self.factor @ self.factor.T)[np.ix_(self.order, self.order)] if self.metric is None else self.metric
 
 
 @dataclass(frozen=True)
@@ -342,20 +347,21 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block, np.arange(block.size) - (np.cumsum(counts) - counts)[block]
 
 
-def _programs(circuit: Circuit, coefs: np.ndarray, ham_coefs: np.ndarray, ham_col: np.ndarray) -> dict:
+def _programs(circuit: Circuit, coefs: np.ndarray, ham_coefs: np.ndarray, ham_col: np.ndarray, order) -> dict:
     """The tests of an EOM of each kind, 'imag' (M, then VI) and 'real' (M, then VR).
 
     The elements are the metric's upper triangle row by row, then the
     vector.  Each draws its pair words row-major, then its left and its
     right single words <psi|row>; slot mu's pieces are u_p, then u_p^dag,
-    of each of its gates p in turn.
+    of each of its gates p in turn.  Piece key x is sweep row ``order[x]``.
     """
     npar, nrows, b = circuit.num_params, 2 * coefs.size, ham_col.size
     width = nrows + 1 + b  # word-matrix columns: the rows, psi, the Hamiltonian rows
     single, ham = nrows * width, nrows + 1 + ham_col  # psi's word-matrix row; h_b psi's columns
     slots = np.repeat([g.slot for g in circuit.gates], 2)
-    piece = np.argsort(slots, kind="stable")  # rows, slot by slot
-    coef = coefs[piece // 2]
+    keys = np.argsort(slots, kind="stable")  # piece keys, slot by slot
+    coef = coefs[keys // 2]
+    piece, partner = order[keys], order[keys ^ 1]  # each piece's row, and that of its adjoint
     size = np.bincount(slots, minlength=npar)
     start = np.cumsum(size) - size
 
@@ -366,7 +372,7 @@ def _programs(circuit: Circuit, coefs: np.ndarray, ham_coefs: np.ndarray, ham_co
     e2, k2 = _ragged(size[nus])
     lefts, rights = start[mus[e1]] + k1, start[nus[e2]] + k2
     metric = [
-        ((piece[left] ^ 1) * width + piece[right], 0.0, coef[left] * coef[right], 3 * e),
+        (partner[left] * width + piece[right], 0.0, coef[left] * coef[right], 3 * e),
         (single + piece[lefts], 0.0, coef[lefts], 3 * e1 + 1),
         (single + piece[rights], 0.0, coef[rights], 3 * e2 + 2),
     ]
@@ -374,7 +380,7 @@ def _programs(circuit: Circuit, coefs: np.ndarray, ham_coefs: np.ndarray, ham_co
     v = 3 * mus.size  # the vector's bins follow the metric's
     e, k = _ragged(size * b)
     left, h = start[e] + k // b, k % b  # empty without pieces
-    words, prods, bins = (piece[left] ^ 1) * width + ham[h], coef[left] * ham_coefs[h], v + 3 * e
+    words, prods, bins = partner[left] * width + ham[h], coef[left] * ham_coefs[h], v + 3 * e
     e1, k1 = _ragged(size)
     e2, h2 = _ragged(np.full(npar, b))
     lefts = start[e1] + k1
@@ -393,7 +399,8 @@ class HadamardRoute:
     """The Hadamard route of one circuit and one Hamiltonian: its sweep and its tests.
 
     Gate p of ``circuit`` has the generator c_p (u_p + u_p^dag); ``rows``
-    inserts u_p (row 2p) and u_p^dag (row 2p + 1) after gate p, so a word
+    inserts u_p (key 2p) and u_p^dag (key 2p + 1) after gate p, each into
+    the sweep row that ``rows.order`` maps its key to, so a word
     <psi0| A~^dag B~ |psi0> of pieces conjugated up to their gates is
     <row(A)|row(B)>.  Hamiltonian piece b, c_b h_b with c_b = ``ham_coefs[b]``,
     acts at the end of the circuit: ``ham_kernels`` apply the pieces on one
@@ -428,8 +435,9 @@ def hadamard_plan(circuit: Circuit, ham_pieces: Sequence[tuple[float, LocalOpera
     ham_col = np.empty(len(ham_pieces), dtype=np.intp)
     ham_col[[b for bs in targets.values() for b in bs]] = np.arange(len(ham_pieces))
     coefs, ham_coefs = np.array(coefs), np.array([coef for coef, _ in ham_pieces], dtype=float)
-    tests = _programs(circuit, coefs, ham_coefs, ham_col)
-    return HadamardRoute(circuit, circuit.row_plan(ops), ham_coefs, kernels, ham_col, tests)
+    rows = circuit.row_plan(ops)
+    tests = _programs(circuit, coefs, ham_coefs, ham_col, rows.order)
+    return HadamardRoute(circuit, rows, ham_coefs, kernels, ham_col, tests)
 
 
 def _read_words(route: HadamardRoute, theta, psi0: QuditRegister) -> tuple[QuditRegister, np.ndarray]:
@@ -571,14 +579,16 @@ def randomized_eom(
     gate_traces = [np.trace(g.generator.matrix).real * d ** (n - len(g.targets)) for g in circuit.gates]
     traces = np.append(np.bincount([g.slot for g in circuit.gates], gate_traces, npar), np.sum(spectrum.eigenvalues))
 
+    plan = circuit.tangent_plan
+
     def expectations(states):  # the output states, and every <A_k> of each input state
-        psi, rows, ref = circuit.sweep(theta, states, circuit.tangent_plan, circuit.tangent_plan.middle, spectrum)
+        psi, rows, ref = circuit.sweep(theta, states, plan, plan.middle, spectrum)
         bra = ref[0].conj()
-        gens = -np.einsum("kd,rkd->kr", bra, rows).imag  # Re(i <ref_0|row_mu>)
+        gens = -np.einsum("kd,rkd->kr", bra, rows).imag[:, plan.order]  # Re(i <ref_0|row_mu>), slot by slot
         return psi, np.column_stack([gens, np.einsum("kd,kd->k", bra, ref[1]).real])
 
     psi, mean0 = expectations(psi0.amplitudes[None])
-    block = max(1, _SNAPSHOT_BYTES // ((npar + 1) * psi0.dim * 16))
+    block = max(1, _SNAPSHOT_BYTES // (plan.held[plan.middle] * psi0.dim * 16))
     values = np.concatenate([expectations(blk)[1] for blk in np.array_split(phi, -(-samples // block))])
     c = _connected_anticommutators(values, mean0[0], traces, phi, psi0.amplitudes)
     return EomQuantities(0.5 * c[:npar, :npar], c[:npar, npar], QuditRegister(n, d, psi[0]), float(mean0[0, npar]))

@@ -61,20 +61,26 @@ def exact_eom(
     (v = dE/dtheta) and of -2i (H - E) psi for ``kind='real'``.  ``ham`` is
     a dense matrix or a ``Spectrum``.  Every inner product is read in the
     tangent plan's middle frame, where the sweep applies the fewest rows.
+    F is the sweep's buffer, projected in place and left in the plan's row
+    order (``order``); v is in slot order.
     """
     if kind not in ("imag", "real"):
         raise ValueError(f"kind must be 'imag' or 'real', got {kind!r}")
     if ham.shape[0] != psi0.dim:
         raise ValueError("Hamiltonian dimension does not match the register")
-    psi, tang, ref = circuit.tangents(theta, psi0, circuit.tangent_plan.middle, ham)
-    rows = tang.T  # the sweep's own gather, one row per slot
+    plan = circuit.tangent_plan
+    psi, tang, ref = circuit.tangents(theta, psi0, plan.middle, ham)
+    rows = tang.T  # the sweep's own buffer, one row per slot in the plan's row order
     energy = float(np.vdot(ref[0], ref[1]).real)
-    rows -= (rows @ ref[0].conj())[:, None] * ref[0]  # <psi|t_mu> psi
+    overlaps = rows @ ref[0].conj()
+    step = -(-len(rows) // 8) or 1  # <psi|t_mu> psi off an eighth of the rows at a time, not a bundle-sized temporary
+    for lo in range(0, len(rows), step):
+        rows[lo : lo + step] -= overlaps[lo : lo + step, None] * ref[0]
     deriv = 2.0 * (ref[1] - energy * ref[0])
     if kind == "real":
         deriv *= -1.0j
     factor, target = rows.view(float), deriv.view(float)
-    return EomQuantities(None, factor @ target, psi, energy, factor, target)
+    return EomQuantities(None, (factor @ target)[plan.order], psi, energy, factor, target, plan.order)
 
 
 def solve_flow(
@@ -314,7 +320,7 @@ def _checked_flow(est, theta: np.ndarray, kind: str, sign: float, ev: EvolutionC
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(f"step {step}: non-finite {what}")
     dot, info = solve_flow(metric, sign * rhs, ev.cutoff, eom.factor is not None)
-    return eom, dot, info
+    return eom, dot if eom.order is None else dot[eom.order], info
 
 
 def run_ground_search(cfg: RunConfig, ctx: RunContext | None = None):

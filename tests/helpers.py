@@ -11,6 +11,7 @@ program against.
 """
 from __future__ import annotations
 
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from quditgauge import fixtures, measure
 from quditgauge.core import LocalOperator, QuditRegister, check_hermitian, hermitian_expm, inner, ms_generator
 from quditgauge.model import electric_values, gauss_projector, link_raise_op, unitary_split
 from quditgauge.oracle import Spectrum
-from quditgauge.varsim import exact_eom
+from quditgauge.varsim import exact_eom, solve_flow
 
 
 def digit(index, q: int, d: int):
@@ -90,9 +91,12 @@ def hadamard_eom_reference(route, theta, psi0, kind: str, shots=None, seed: int 
     ham = nrows + 1 + route.ham_col
     rng = np.random.default_rng(seed) if shots is not None else None
 
-    def pieces(mu):  # u_p, then u_p^dag, for each gate p of slot mu
+    order = route.rows.order  # each piece's sweep row, by its key
+
+    def pieces(mu):  # u_p, then u_p^dag, for each gate p of slot mu: their rows, and their adjoints' rows
         pos = np.array(circuit.slot_positions(mu))
-        return np.repeat(coefs[pos], 2), np.stack([2 * pos, 2 * pos + 1], axis=1).ravel()
+        keys = np.stack([2 * pos, 2 * pos + 1], axis=1).ravel()
+        return np.repeat(coefs[pos], 2), order[keys], order[keys ^ 1]
 
     def values(w, alpha):  # Re<W> (alpha = 0) or Im<W> (alpha = pi/2)
         p = measure._maybe_binomial(measure._plus_probability(w, np.exp(1.0j * alpha)), shots, rng)
@@ -105,10 +109,10 @@ def hadamard_eom_reference(route, theta, psi0, kind: str, shots=None, seed: int 
         return out
 
     def element(label, mu, nu=None):
-        c_left, own_left = pieces(mu)
-        c_right, right = pieces(nu) if label == "M" else (route.ham_coefs, ham)
+        c_left, own_left, adjoint_left = pieces(mu)
+        c_right, right = pieces(nu)[:2] if label == "M" else (route.ham_coefs, ham)
         alpha = np.pi / 2.0 if label == "VI" else 0.0
-        pair = total(np.multiply.outer(c_left, c_right) * values(words[np.ix_(own_left ^ 1, right)], alpha))
+        pair = total(np.multiply.outer(c_left, c_right) * values(words[np.ix_(adjoint_left, right)], alpha))
         if label == "VI":
             return -2.0 * pair
         single_left = total(c_left * values(words[nrows, own_left], 0.0))
@@ -247,9 +251,36 @@ def sample_counts(state: QuditRegister, shots: int, rng_seed: int) -> np.ndarray
     return rng.multinomial(shots, probs)
 
 
+def slot_tangents(circuit, theta, psi0, frame=None):
+    """``Circuit.tangents`` with T's last axis put in slot order, so that T[:, mu] = d psi / d theta_mu."""
+    psi, tang, ref = circuit.tangents(theta, psi0, frame)
+    return psi, tang[..., circuit.tangent_plan.order], ref
+
+
 def metric(circuit, theta, psi0: QuditRegister) -> np.ndarray:
     """The metric M alone: ``exact_eom`` with H = 0, as a zero dense matrix."""
     return exact_eom(circuit, theta, np.zeros((psi0.dim, psi0.dim)), psi0, "imag").m
+
+
+def eom_peak_bundles(ctx, theta, kind: str) -> float:
+    """The tracemalloc peak of one ``exact_eom`` and its ``solve_flow``, in tangent bundles of P·D·16 B.
+
+    A first, untraced call builds the circuit's cached plans, as a run's
+    first step does.
+    """
+
+    def eom_and_solve():
+        eom = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
+        solve_flow(eom.factor, eom.target, factor=True)
+
+    eom_and_solve()
+    tracemalloc.start()
+    try:
+        eom_and_solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (ctx.circuit.num_params * ctx.psi0.dim * 16)
 
 
 def evolve_imag(spec: Spectrum, psi0: np.ndarray, tau: float) -> np.ndarray:

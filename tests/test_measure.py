@@ -42,6 +42,7 @@ from helpers import (
     random_state,
     randomized_connected_anticommutator,
     series_expm,
+    slot_tangents,
 )
 from test_ansatz import hand_built_circuit
 
@@ -696,7 +697,7 @@ class TestRandomized:
         dim = circ.local_dim**circ.num_qudits
         theta = np.random.default_rng(57).uniform(-np.pi, np.pi, circ.num_params)
         u, gens = dense_heisenberg(circ, theta)
-        psi, tang, _ = circ.tangents(theta, np.eye(dim, dtype=complex), 0)
+        psi, tang, _ = slot_tangents(circ, theta, np.eye(dim, dtype=complex), 0)
         assert np.max(np.abs(psi.T - u)) < 1e-12
         assert np.max(np.abs((1.0j * tang).transpose(2, 0, 1) - gens)) < 1e-12
 
@@ -781,6 +782,37 @@ class TestRandomizedEom:
         finally:
             tracemalloc.stop()
         assert peak < npar * dim * dim * 16
+
+    def test_block_budget_counts_the_rows_the_sweep_holds(self):
+        # the snapshot block is sized from RowPlan.held, so a sweep's peak must
+        # grow by held rows of D amplitudes per input state; (P + 1) rows
+        # undercounted the sweep that kept its backward rows apart (88 against 37)
+        cfg = parse_config(
+            {
+                "model": {"dimension": 2, "num_links": 4},
+                "ansatz": {"family": "plaquette", "layers": 1},
+                "evolution": {"mode": "vrte"},
+                "estimator": {"mode": "randomized"},
+            }
+        )
+        ctx = RunContext.from_config(cfg)
+        circ, dim = ctx.circuit, ctx.psi0.dim
+        plan = circ.tangent_plan
+        rng = np.random.default_rng(51)
+        theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+        peaks = []
+        for k in (32, 64):
+            states = rng.standard_normal((k, dim)) + 0.0j
+            circ.sweep(theta, states, plan, plan.middle, ctx.spectrum)
+            tracemalloc.start()
+            try:
+                out = circ.sweep(theta, states, plan, plan.middle, ctx.spectrum)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del out
+        rows = (peaks[1] - peaks[0]) / (32 * dim * 16)
+        assert 0.9 * plan.held[plan.middle] <= rows <= 1.02 * plan.held[plan.middle], (rows, plan.held[plan.middle])
 
     def test_slope_on_exact_is_one_with_power(self):
         # Per trial, the least-squares slope of the estimate (M's upper

@@ -30,6 +30,7 @@ from quditgauge.varsim import (
 )
 
 from helpers import (
+    eom_peak_bundles,
     evolve_imag,
     finite_difference,
     gate_matrix,
@@ -38,6 +39,7 @@ from helpers import (
     oscillation_period,
     random_hermitian,
     random_state,
+    slot_tangents,
 )
 
 
@@ -144,7 +146,7 @@ class TestMiddleFrame:
         circ, psi0 = ctx.circuit, ctx.psi0
         assert 0 < circ.tangent_plan.middle < len(circ.stages)
         theta = np.random.default_rng(53).uniform(-np.pi, np.pi, circ.num_params)
-        psi, tang, _ = circ.tangents(theta, psi0)
+        psi, tang, _ = slot_tangents(circ, theta, psi0)
         amp = psi.amplitudes
         hpsi = ctx.spectrum @ amp
         energy = np.vdot(amp, hpsi).real
@@ -213,7 +215,7 @@ class TestRealTimeVector:
         ham = materialize(chain_hamiltonian(3, 1.0, 0.1))
         theta = np.random.default_rng(5).uniform(-np.pi, np.pi, circ.num_params)
         v = exact_eom(circ, theta, ham, psi0, "real").v
-        psi, tang, _ = circ.tangents(theta, psi0)
+        psi, tang, _ = slot_tangents(circ, theta, psi0)
         hpsi = ham @ psi.amplitudes
         energy = np.vdot(psi.amplitudes, hpsi).real
         for mu in range(circ.num_params):
@@ -334,6 +336,45 @@ class TestSolveFlow:
         assert info.rank == 2
 
 
+    @pytest.mark.parametrize(
+        "model,mode,straddling",
+        [
+            ({"model": {"dimension": 1, "num_links": 5}, "ansatz": {"family": "chain", "layers": 3}}, "vite", 8),
+            ({"model": {"dimension": 1, "num_links": 5}, "ansatz": {"family": "chain", "layers": 2}}, "vrte", 13),
+            (
+                {
+                    "model": {"dimension": 2, "num_links": 4},
+                    "ansatz": {"family": "plaquette", "layers": 2, "include_plaquette_gate": True},
+                },
+                "vrte",
+                0,
+            ),
+        ],
+        ids=["chain-L5-N3-imag", "chain-L5-N2-real", "plaquette-N2-gate"],
+    )
+    def test_straddling_rows_match_projected_output_frame(self, model, mode, straddling):
+        # a row touched on both sides of the middle frame adds its backward
+        # part into its forward row; the rows touched only after it close the
+        # buffer's gap, gathered first, as their sources overlap their places
+        ctx = RunContext.from_config(parse_config(dict(model, evolution={"mode": mode})))
+        circ, psi0, plan = ctx.circuit, ctx.psi0, ctx.circuit.tangent_plan
+        m = plan.middle
+        assert plan.fwd_live[m] + plan.bwd_live[m] - circ.num_params == straddling
+        theta = np.random.default_rng(59).uniform(-np.pi, np.pi, circ.num_params)
+        psi, tang, _ = slot_tangents(circ, theta, psi0)
+        amp = psi.amplitudes
+        proj = tang - np.outer(amp, amp.conj() @ tang)  # t_mu - <psi|t_mu> psi
+        hpsi = ctx.spectrum @ amp
+        deriv = 2.0 * (hpsi - np.vdot(amp, hpsi).real * amp)
+        kind = "imag" if mode == "vite" else "real"
+        if kind == "real":
+            deriv *= -1.0j
+        want_m, want_v = (proj.conj().T @ proj).real, (proj.conj().T @ deriv).real
+        eom = exact_eom(circ, theta, ctx.spectrum, psi0, kind)
+        assert np.max(np.abs(eom.m - want_m)) <= 1e-12 * np.max(np.abs(want_m))
+        assert np.max(np.abs(eom.v - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+
+
 def plaquette_n5_context() -> RunContext:
     return RunContext.from_config(
         parse_config(
@@ -348,7 +389,7 @@ def plaquette_n5_context() -> RunContext:
 
 def end_frame_metric(circ, theta, psi0):
     """M = Re(T^dag T) - Re(ip ip^dag) from the output-frame tangents, as a P x P matrix."""
-    psi, tang, _ = circ.tangents(theta, psi0)
+    psi, tang, _ = slot_tangents(circ, theta, psi0)
     ip = tang.conj().T @ psi.amplitudes
     m = (tang.conj().T @ tang).real - np.outer(ip, ip.conj()).real
     return (m + m.T) / 2.0
@@ -365,8 +406,9 @@ class TestFactorSolve:
         theta = np.zeros(circ.num_params) if seed is None else np.random.default_rng(seed).uniform(-1, 1, circ.num_params)
         eom = exact_eom(circ, theta, ctx.spectrum, psi0, "real")
         assert eom.factor.shape == (circ.num_params, 2 * psi0.dim)
-        assert np.max(np.abs(eom.factor @ eom.target - eom.v)) < 1e-12
-        dot, info = solve_flow(eom.factor, 0.5 * eom.target, factor=True)
+        factor = eom.factor[eom.order]  # slot order
+        assert np.max(np.abs(factor @ eom.target - eom.v)) < 1e-12
+        dot, info = solve_flow(factor, 0.5 * eom.target, factor=True)
         want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), 0.5 * eom.v)
         assert info.rank == want_info.rank
         if seed is None:
@@ -382,9 +424,10 @@ class TestFactorSolve:
         theta = np.random.default_rng(67).uniform(-1, 1, circ.num_params)
         for kind, sign in (("imag", -0.5), ("real", 0.5)):
             eom = exact_eom(circ, theta, ham, psi0, kind)
-            assert np.max(np.abs(eom.factor @ eom.factor.T - end_frame_metric(circ, theta, psi0))) < 1e-12
-            assert np.max(np.abs(eom.factor @ eom.target - eom.v)) < 1e-12, kind
-            dot, info = solve_flow(eom.factor, sign * eom.target, factor=True)
+            factor = eom.factor[eom.order]  # slot order
+            assert np.max(np.abs(factor @ factor.T - end_frame_metric(circ, theta, psi0))) < 1e-12
+            assert np.max(np.abs(factor @ eom.target - eom.v)) < 1e-12, kind
+            dot, info = solve_flow(factor, sign * eom.target, factor=True)
             want, want_info = solve_flow(end_frame_metric(circ, theta, psi0), sign * eom.v)
             assert info.rank == want_info.rank, kind
             assert np.max(np.abs(dot - want)) < 1e-8 * np.max(np.abs(want)), kind
@@ -506,6 +549,18 @@ class TestSetup:
         monkeypatch.setattr(core, "check_hermitian", counted)
         ctx = RunContext.from_config(parse_config(SETUP_CONFIGS[name]))
         assert len(checked) <= 40 < len(ctx.circuit.gates), checked
+
+
+class TestEomMemory:
+    def test_eom_and_solve_peak_in_bundles(self):
+        # L=7 N=3 chain: the sweep keeps every row in one buffer, which
+        # exact_eom projects in place and hands on as F; a second backward
+        # array, its gathered merge, a slot-ordered copy and a bundle-sized
+        # projection temporary peaked at 3.00 bundles
+        cfg = parse_config({"model": {"dimension": 1, "num_links": 7}, "ansatz": {"family": "chain", "layers": 3}})
+        ctx = RunContext.from_config(cfg)
+        theta = random_initial_params(ctx.circuit, 1)
+        assert eom_peak_bundles(ctx, theta, "imag") <= 2.3
 
 
 class TestGroundSearch:
@@ -787,7 +842,7 @@ class TestCompleteAnsatzConvergence:
 
         def deriv(theta):
             eom = exact_eom(ctx.circuit, theta, ctx.spectrum, ctx.psi0, kind)
-            return solve_flow(eom.factor, sign * eom.target, cfg.evolution.cutoff, factor=True)[0]
+            return solve_flow(eom.factor, sign * eom.target, cfg.evolution.cutoff, factor=True)[0][eom.order]
 
         def infidelity(dt):
             theta = theta0
